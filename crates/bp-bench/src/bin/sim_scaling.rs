@@ -9,7 +9,7 @@
 //! at each worker count in {1, 2, 4, 8}, records median wall time, and
 //! asserts the `SimReport` fingerprint is identical across *every* point
 //! (the engine's core guarantee — sync mode included), then splices a
-//! `"sim_scaling"` object into `BENCH_sim.json` (schema `bench_sim/v7`,
+//! `"sim_scaling"` object into `BENCH_sim.json` (schema `bench_sim/v8`,
 //! see EXPERIMENTS.md).
 //!
 //! Flags: `--threads N` caps the sweep at N workers; `--smoke` runs a

@@ -63,13 +63,22 @@ fn to_margin(v: f64, what: &str) -> Result<u32> {
 /// Run the alignment pass until every multi-input kernel sees consistent
 /// data, inserting trim or pad kernels per the policy. Returns what was
 /// inserted.
+///
+/// Each round fixes the first misaligned kernel and re-analyzes, so a
+/// graph needs as many rounds as it has misaligned kernels (a bank of `n`
+/// cameras has `n`). The loop terminates because every productive round
+/// strictly moves some integral region monotonically — trimming only
+/// shrinks regions towards their intersection, padding only grows them up
+/// to the largest region already present — and a round that inserts
+/// nothing is reported as an error.
 pub fn align(graph: &mut AppGraph, policy: AlignPolicy) -> Result<AlignReport> {
     let mut report = AlignReport::default();
-    for _round in 0..8 {
+    loop {
         let df = analyze_with(graph, Strictness::Lenient)?;
         if df.misalignments.is_empty() {
             return Ok(report);
         }
+        let inserted_before = report.inserted.len();
         let insets = analyze_insets(graph)?;
         // Fix the first misalignment, then re-analyze (fixes can interact).
         let mis = &df.misalignments[0];
@@ -137,10 +146,13 @@ pub fn align(graph: &mut AppGraph, policy: AlignPolicy) -> Result<AlignReport> {
                 }
             }
         }
+        if report.inserted.len() == inserted_before {
+            return Err(BpError::Transform(format!(
+                "inputs of '{}' are misaligned but no trim or pad margin applies",
+                graph.node(mis.node).name
+            )));
+        }
     }
-    // Final consistency check.
-    analyze_with(graph, Strictness::Strict)?;
-    Ok(report)
 }
 
 /// Insert an inset kernel on the channel feeding `(node, port)`.

@@ -116,7 +116,7 @@ mod tests {
     fn heavy(name_cost: u64) -> KernelDef {
         struct H;
         impl KernelBehavior for H {
-            fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+            fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
                 out.window("out", Window::scalar(d.window("in").as_scalar() + 1.0));
             }
         }

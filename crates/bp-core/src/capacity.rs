@@ -184,7 +184,7 @@ mod tests {
 
     struct Nop;
     impl KernelBehavior for Nop {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
     }
 
     fn source_def() -> KernelDef {

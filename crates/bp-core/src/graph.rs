@@ -470,10 +470,16 @@ impl AppGraph {
                         node.name
                     )));
                 }
-                if self.source_info(id).is_none() {
+                let Some(info) = self.source_info(id) else {
                     return Err(BpError::Validation(format!(
                         "source node '{}' has no registered frame size/rate",
                         node.name
+                    )));
+                };
+                if !(info.rate_hz.is_finite() && info.rate_hz > 0.0) {
+                    return Err(BpError::Validation(format!(
+                        "source node '{}' has frame rate {} Hz; it must be finite and above 0",
+                        node.name, info.rate_hz
                     )));
                 }
             }
@@ -660,7 +666,7 @@ mod tests {
 
     struct Nop;
     impl KernelBehavior for Nop {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
     }
 
     fn passthrough_def() -> KernelDef {
@@ -726,6 +732,21 @@ mod tests {
         let order = g.topo_order().unwrap();
         assert_eq!(order.len(), 3);
         assert_eq!(order[0], NodeId(0));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_source_rates_fail_validation() {
+        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut b = GraphBuilder::new();
+            let s = b.add_source("Input", source_def(), Dim2::new(4, 4), rate);
+            let t = b.add("Out", sink_def());
+            b.connect(s, "out", t, "in");
+            let err = b.build_unchecked().validate().unwrap_err();
+            assert!(
+                matches!(&err, BpError::Validation(m) if m.contains("frame rate")),
+                "rate {rate}: {err}"
+            );
+        }
     }
 
     #[test]

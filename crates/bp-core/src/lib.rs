@@ -45,8 +45,8 @@ pub use graph::{
 };
 pub use item::{Item, Window};
 pub use kernel::{
-    BatchEmitter, BehaviorFactory, Emitter, FireBatch, FireData, KernelBehavior, KernelDef,
-    KernelSpec, NodeRole, Parallelism, ShapeTransform,
+    BehaviorFactory, Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole,
+    Parallelism, ShapeTransform,
 };
 pub use machine::{CommModel, CommProfile, MachineSpec, Mapping, ShardPlan, SyncMode};
 pub use method::{MethodCost, MethodSpec, Trigger, TriggerOn};

@@ -1,9 +1,7 @@
 //! Point-wise arithmetic kernels: subtract, add, absolute difference,
 //! scale, and threshold. All are fully data parallel with 1×1 streams.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::Window;
@@ -26,46 +24,10 @@ struct Binary {
 }
 
 impl KernelBehavior for Binary {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let a = d.window("in0").as_scalar();
-        let b = d.window("in1").as_scalar();
-        out.window("out", Window::scalar((self.f)(a, b)));
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let a = d.window_at(0).as_scalar();
         let b = d.window_at(1).as_scalar();
         out.window_at(0, Window::scalar((self.f)(a, b)));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // Point-wise over 1×1 streams: the firing loop *is* the flat inner
-        // loop, applying `f` across the run.
-        let f = self.f;
-        for i in 0..batch.count() {
-            let a = batch.window(i, 0).as_scalar();
-            let b = batch.window(i, 1).as_scalar();
-            out.window_at(0, Window::scalar(f(a, b)));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -105,40 +67,9 @@ struct Unary {
 }
 
 impl KernelBehavior for Unary {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let a = d.window("in").as_scalar();
-        out.window("out", Window::scalar((self.f)(a)));
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let a = d.window_at(0).as_scalar();
         out.window_at(0, Window::scalar((self.f)(a)));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        for i in 0..batch.count() {
-            let a = batch.window(i, 0).as_scalar();
-            out.window_at(0, Window::scalar((self.f)(a)));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -170,7 +101,7 @@ mod tests {
         ];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        beh.fire("run", &data, &mut out);
+        beh.fire(0, &data, &mut out);
         out.into_items()[0].1.window().unwrap().as_scalar()
     }
 
@@ -179,7 +110,7 @@ mod tests {
         let consumed = vec![(0usize, Item::Window(Window::scalar(a)))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        beh.fire("run", &data, &mut out);
+        beh.fire(0, &data, &mut out);
         out.into_items()[0].1.window().unwrap().as_scalar()
     }
 

@@ -10,9 +10,7 @@
 //! position-*tracking* formulation (3×3 window, unit step) would carry
 //! order-dependent state and would have to be declared serial.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Offset2, Step2, Window};
@@ -20,9 +18,10 @@ use bp_core::{Dim2, Offset2, Step2, Window};
 #[derive(Default)]
 struct BayerBehavior;
 
-/// `site` over the flat row-major 4×4 slice (index `wy*4 + wx`), with the
-/// exact operand order of the window-accessor version so both paths produce
-/// bit-identical interpolants.
+/// Interpolate one site of the flat row-major 4×4 window (index
+/// `wy*4 + wx`). `wx, wy` are the sample's coordinates inside the window
+/// (1 or 2); global parity equals window parity because the window origin
+/// is always even.
 #[inline]
 fn site_flat(s: &[f64], wx: usize, wy: usize) -> (f64, f64, f64) {
     let i = wy * 4 + wx;
@@ -40,8 +39,7 @@ fn site_flat(s: &[f64], wx: usize, wy: usize) -> (f64, f64, f64) {
 }
 
 /// One demosaic firing over a flat 4×4 slice: the three 2×2 quads in
-/// row-major order, exactly as the scalar body's `set(qx, qy, ..)` loop
-/// lays them out.
+/// row-major order.
 #[inline]
 fn demosaic_quads(s: &[f64]) -> ([f64; 4], [f64; 4], [f64; 4]) {
     let mut r = [0.0; 4];
@@ -58,93 +56,13 @@ fn demosaic_quads(s: &[f64]) -> ([f64; 4], [f64; 4], [f64; 4]) {
     (r, g, b)
 }
 
-/// Interpolate one site. `wx, wy` are the sample's coordinates inside the
-/// 4×4 window (1 or 2); global parity equals window parity because the
-/// window origin is always even.
-fn site(w: &Window, wx: u32, wy: u32) -> (f64, f64, f64) {
-    let c = w.get(wx, wy);
-    let edges =
-        (w.get(wx - 1, wy) + w.get(wx + 1, wy) + w.get(wx, wy - 1) + w.get(wx, wy + 1)) / 4.0;
-    let corners = (w.get(wx - 1, wy - 1)
-        + w.get(wx + 1, wy - 1)
-        + w.get(wx - 1, wy + 1)
-        + w.get(wx + 1, wy + 1))
-        / 4.0;
-    let horiz = (w.get(wx - 1, wy) + w.get(wx + 1, wy)) / 2.0;
-    let vert = (w.get(wx, wy - 1) + w.get(wx, wy + 1)) / 2.0;
-    match (wx % 2, wy % 2) {
-        (0, 0) => (c, edges, corners), // red site (RGGB)
-        (1, 0) => (horiz, c, vert),    // green on red row
-        (0, 1) => (vert, c, horiz),    // green on blue row
-        _ => (corners, edges, c),      // blue site
-    }
-}
-
 impl KernelBehavior for BayerBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        let dim = Dim2::new(2, 2);
-        let mut r = Window::zeros(dim);
-        let mut g = Window::zeros(dim);
-        let mut b = Window::zeros(dim);
-        for qy in 0..2 {
-            for qx in 0..2 {
-                let (rv, gv, bv) = site(w, qx + 1, qy + 1);
-                r.set(qx, qy, rv);
-                g.set(qx, qy, gv);
-                b.set(qx, qy, bv);
-            }
-        }
-        out.window("r", r);
-        out.window("g", g);
-        out.window("b", b);
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let (r, g, b) = demosaic_quads(d.window_at(0).samples());
         let dim = Dim2::new(2, 2);
         out.window_at(0, Window::from_slice(dim, &r));
         out.window_at(1, Window::from_slice(dim, &g));
         out.window_at(2, Window::from_slice(dim, &b));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // Per-firing replay over the in-place batch: the work per firing is
-        // the `fire_fast` body verbatim (so planes are bit-identical by
-        // construction), and the win over the scalar loop is structural —
-        // no per-item Arc clone, no `FireData` rebuild, no per-firing
-        // emitter churn. A sample-major transpose was tried here and lost:
-        // at 16 inputs / 12 outputs per firing the gather/scatter overhead
-        // dwarfs the vectorizable arithmetic.
-        let dim = Dim2::new(2, 2);
-        for f in 0..batch.count() {
-            let (r, g, b) = demosaic_quads(batch.window(f, 0).samples());
-            out.window_at(0, Window::from_slice(dim, &r));
-            out.window_at(1, Window::from_slice(dim, &g));
-            out.window_at(2, Window::from_slice(dim, &b));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -179,7 +97,7 @@ mod tests {
         let consumed = vec![(0usize, Item::Window(w))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("demosaic", &data, &mut out);
+        b.fire(0, &data, &mut out);
         out.into_items()
     }
 
@@ -220,49 +138,6 @@ mod tests {
             assert_eq!(q.get(1, 0), 12.0);
             assert_eq!(q.get(0, 1), 21.0);
             assert_eq!(q.get(1, 1), 22.0);
-        }
-    }
-
-    #[test]
-    fn batch_bit_matches_scalar() {
-        // The batch path must produce bit-identical planes to per-firing
-        // fire_fast across varied inputs, twice in a row (no state may
-        // leak between batches).
-        let def = bayer_demosaic();
-        let mut scalar = (def.factory)();
-        let mut batched = (def.factory)();
-        for round in 0..2 {
-            let windows: Vec<Item> = (0..5)
-                .map(|f| {
-                    Item::Window(Window::from_fn(Dim2::new(4, 4), |x, y| {
-                        ((round * 5 + f) * 100 + y * 17 + x * 3) as f64 * 0.37 - 8.5
-                    }))
-                })
-                .collect();
-            let refs: Vec<&Item> = windows.iter().collect();
-            let ports = [0usize];
-            let batch = FireBatch::new(&def.spec, &ports, &refs, refs.len());
-            let (mut emitted, mut fences, mut cycles) = (Vec::new(), Vec::new(), Vec::new());
-            let mut bout = BatchEmitter::new(&def.spec, &mut emitted, &mut fences, &mut cycles);
-            assert!(batched.fire_batch(0, &batch, &mut bout));
-            assert_eq!(fences.len(), refs.len());
-            for (f, item) in windows.iter().enumerate() {
-                let consumed = vec![(0usize, item.clone())];
-                let data = FireData::new(&def.spec, &consumed);
-                let mut out = Emitter::new(&def.spec);
-                assert!(scalar.fire_fast(0, &data, &mut out));
-                let scalar_items = out.into_items();
-                let start = if f == 0 { 0 } else { fences[f - 1] };
-                let batch_items = &emitted[start..fences[f]];
-                assert_eq!(scalar_items.len(), batch_items.len());
-                for ((sp, si), (bp, bi)) in scalar_items.iter().zip(batch_items) {
-                    assert_eq!(sp, bp);
-                    let (sw, bw) = (si.window().unwrap(), bi.window().unwrap());
-                    for (a, b) in sw.samples().iter().zip(bw.samples()) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-            }
         }
     }
 

@@ -168,32 +168,8 @@ impl BufferBehavior {
 impl KernelBehavior for BufferBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "push" => {
-                let w = d.window("in");
-                if self.pw == 1 && self.ph == 1 {
-                    self.push_pixel(w.as_scalar(), out);
-                } else {
-                    self.push_block(w, out);
-                }
-            }
-            "eol" => {
-                if self.emitted_since_eol {
-                    out.token("out", ControlToken::EndOfLine);
-                    self.emitted_since_eol = false;
-                }
-            }
-            "eof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.reset();
-            }
-            other => panic!("buffer has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = push, 1 = eol, 2 = eof.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let w = d.window_at(0);
@@ -213,15 +189,8 @@ impl KernelBehavior for BufferBehavior {
                 out.token_at(0, ControlToken::EndOfFrame);
                 self.reset();
             }
-            _ => return false,
+            _ => unreachable!("buffer has no such method"),
         }
-        true
-    }
-
-    // The buffer has no readiness gate beyond its triggers; answering the
-    // planner by index keeps the compiled backend off the name path.
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -279,9 +248,9 @@ mod tests {
         let mut got = Vec::new();
         for item in items {
             let method = match &item {
-                Item::Window(_) => "push",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
+                Item::Window(_) => 0,
+                Item::Control(ControlToken::EndOfLine) => 1,
+                Item::Control(ControlToken::EndOfFrame) => 2,
                 Item::Control(ControlToken::Custom(_)) => continue,
             };
             let consumed = vec![(0usize, item)];
@@ -394,38 +363,6 @@ mod tests {
         assert_eq!(windows.len(), 4);
         assert_eq!(windows[0].get(0, 0), 0.0);
         assert_eq!(windows[3].get(2, 2), 15.0);
-    }
-
-    /// Parity audit: driving the same scan-line stream through the
-    /// index-dispatched fast path (push = 0, eol = 1, eof = 2) must emit
-    /// exactly what the name path emits, and `ready_fast` must agree with
-    /// `ready` on every method.
-    #[test]
-    fn fast_path_parity_with_name_dispatch() {
-        let def = buffer(Dim2::ONE, Dim2::new(3, 3), Step2::ONE, Dim2::new(4, 4));
-        let mut items = pixel_stream(4, 4);
-        items.extend(pixel_stream(4, 4));
-        let via_name = drive(&def, items.clone());
-
-        let mut b = (def.factory)();
-        for (mi, m) in def.spec.methods.iter().enumerate() {
-            assert_eq!(b.ready_fast(mi), Some(b.ready(&m.name)));
-        }
-        let mut via_index = Vec::new();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => 0usize,
-                Item::Control(ControlToken::EndOfLine) => 1,
-                Item::Control(ControlToken::EndOfFrame) => 2,
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            assert!(b.fire_fast(method, &data, &mut out));
-            via_index.extend(out.into_items().into_iter().map(|(_, i)| i));
-        }
-        assert_eq!(via_name, via_index);
     }
 
     #[test]

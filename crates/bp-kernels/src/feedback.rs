@@ -16,23 +16,24 @@ struct FeedbackBehavior {
 }
 
 impl KernelBehavior for FeedbackBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    // Spec order: 0 = init, 1 = pass.
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
-            "init" => {
+            0 => {
                 // Prime the loop with one full initial frame, in scan-line
                 // order with the usual tokens.
                 for _y in 0..self.frame.h {
                     for _x in 0..self.frame.w {
-                        out.window("out", Window::scalar(self.initial));
+                        out.window_at(0, Window::scalar(self.initial));
                     }
-                    out.token("out", ControlToken::EndOfLine);
+                    out.token_at(0, ControlToken::EndOfLine);
                 }
-                out.token("out", ControlToken::EndOfFrame);
+                out.token_at(0, ControlToken::EndOfFrame);
             }
-            "pass" => {
-                out.window("out", Window::scalar(d.window("in").as_scalar()));
+            1 => {
+                out.window_at(0, Window::scalar(d.window_at(0).as_scalar()));
             }
-            other => panic!("feedback has no method '{other}'"),
+            _ => unreachable!("feedback has no such method"),
         }
     }
 }
@@ -78,7 +79,7 @@ mod tests {
         let consumed: Vec<(usize, Item)> = Vec::new();
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("init", &data, &mut out);
+        b.fire(0, &data, &mut out);
         let items = out.into_items();
         let pixels = items.iter().filter(|(_, i)| i.is_window()).count();
         let eols = items
@@ -100,7 +101,7 @@ mod tests {
         let consumed = vec![(0usize, Item::Window(Window::scalar(3.25)))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("pass", &data, &mut out);
+        b.fire(1, &data, &mut out);
         let items = out.into_items();
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].1.window().unwrap().as_scalar(), 3.25);

@@ -1,9 +1,7 @@
 //! Additional windowed kernels: Sobel edge magnitude and block-average
 //! downsampling (which exercises strided access and fractional offsets).
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Offset2, Step2, Window};
@@ -20,47 +18,8 @@ fn sobel_mag(s: &[f64]) -> f64 {
 }
 
 impl KernelBehavior for SobelBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        let gx = (w.get(2, 0) + 2.0 * w.get(2, 1) + w.get(2, 2))
-            - (w.get(0, 0) + 2.0 * w.get(0, 1) + w.get(0, 2));
-        let gy = (w.get(0, 2) + 2.0 * w.get(1, 2) + w.get(2, 2))
-            - (w.get(0, 0) + 2.0 * w.get(1, 0) + w.get(2, 0));
-        out.window("out", Window::scalar(gx.abs() + gy.abs()));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window_at(0, Window::scalar(sobel_mag(d.window_at(0).samples())));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // The fixed 9-tap stencil over a flat slice needs no bounds checks
-        // or transpose; the firing loop is the region loop.
-        for f in 0..batch.count() {
-            out.window_at(0, Window::scalar(sobel_mag(batch.window(f, 0).samples())));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -78,75 +37,13 @@ pub fn sobel() -> KernelDef {
     KernelDef::new(spec, || SobelBehavior)
 }
 
-struct DownsampleBehavior {
-    // Region scratch for the batched path (sample-major transpose plus one
-    // running sum per firing).
-    region: Vec<f64>,
-    acc: Vec<f64>,
-}
+struct DownsampleBehavior;
 
 impl KernelBehavior for DownsampleBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        let sum: f64 = w.samples().iter().sum();
-        out.window("out", Window::scalar(sum / w.samples().len() as f64));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let s = d.window_at(0).samples();
         let sum: f64 = s.iter().sum();
         out.window_at(0, Window::scalar(sum / s.len() as f64));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let Self { region, acc } = self;
-        let k = batch.count();
-        let wh = batch.window(0, 0).samples().len();
-        // Sample-major transpose (see conv.rs): each firing's sum
-        // accumulates in the scalar sample order while the inner loop runs
-        // unit-stride across firings.
-        region.clear();
-        region.resize(wh * k, 0.0);
-        for f in 0..k {
-            let s = batch.window(f, 0).samples();
-            for (i, &v) in s.iter().enumerate().take(wh) {
-                region[i * k + f] = v;
-            }
-        }
-        acc.clear();
-        acc.resize(k, 0.0);
-        for i in 0..wh {
-            let row = &region[i * k..(i + 1) * k];
-            for (a, &x) in acc.iter_mut().zip(row) {
-                *a += x;
-            }
-        }
-        let inv = wh as f64;
-        for &v in acc.iter() {
-            out.window_at(0, Window::scalar(v / inv));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -169,10 +66,7 @@ pub fn downsample(fx: u32, fy: u32) -> KernelDef {
             vec!["out".into()],
             MethodCost::new(5 + (fx * fy) as u64, (fx * fy) as u64),
         ));
-    KernelDef::new(spec, || DownsampleBehavior {
-        region: Vec::new(),
-        acc: Vec::new(),
-    })
+    KernelDef::new(spec, || DownsampleBehavior)
 }
 
 #[cfg(test)]
@@ -180,12 +74,12 @@ mod tests {
     use super::*;
     use bp_core::Item;
 
-    fn run(def: &KernelDef, method: &str, input: Window) -> f64 {
+    fn run(def: &KernelDef, input: Window) -> f64 {
         let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(input))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire(method, &data, &mut out);
+        b.fire(0, &data, &mut out);
         out.into_items()[0].1.window().unwrap().as_scalar()
     }
 
@@ -193,20 +87,20 @@ mod tests {
     fn sobel_detects_vertical_edge() {
         // Left column 0, right column 10: strong horizontal gradient.
         let input = Window::from_fn(Dim2::new(3, 3), |x, _| if x == 2 { 10.0 } else { 0.0 });
-        let got = run(&sobel(), "runSobel", input);
+        let got = run(&sobel(), input);
         assert_eq!(got, 40.0); // gx = 4*10, gy = 0
     }
 
     #[test]
     fn sobel_flat_region_is_zero() {
-        let got = run(&sobel(), "runSobel", Window::filled(Dim2::new(3, 3), 5.0));
+        let got = run(&sobel(), Window::filled(Dim2::new(3, 3), 5.0));
         assert_eq!(got, 0.0);
     }
 
     #[test]
     fn downsample_averages_block() {
         let input = Window::from_vec(Dim2::new(2, 2), vec![1.0, 2.0, 3.0, 4.0]);
-        let got = run(&downsample(2, 2), "runAvg", input);
+        let got = run(&downsample(2, 2), input);
         assert_eq!(got, 2.5);
     }
 

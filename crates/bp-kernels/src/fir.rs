@@ -3,9 +3,7 @@
 //! as height-1 images, "without inhibiting one-dimensional signal handling"
 //! (§II-A) — these kernels exercise that path for radio-style pipelines.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Step2, Window};
@@ -13,11 +11,6 @@ use bp_core::{Dim2, Step2, Window};
 #[derive(Clone)]
 struct FirBehavior {
     taps: Option<Vec<f64>>,
-    // Region scratch for the batched path (reversed taps, sample-major
-    // transpose of the batch's windows, one accumulator per firing).
-    trev: Vec<f64>,
-    region: Vec<f64>,
-    acc: Vec<f64>,
 }
 
 impl FirBehavior {
@@ -33,23 +26,8 @@ impl FirBehavior {
 impl KernelBehavior for FirBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "runFir" => {
-                let w = d.window("in");
-                let taps = self.taps.as_ref().expect("taps loaded before data");
-                let acc = Self::dot(taps, w.samples());
-                out.window("out", Window::scalar(acc));
-            }
-            "loadTaps" => {
-                self.taps = Some(d.window("taps").samples().to_vec());
-            }
-            other => panic!("fir has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = runFir, 1 = loadTaps.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let taps = self.taps.as_ref().expect("taps loaded before data");
@@ -57,70 +35,12 @@ impl KernelBehavior for FirBehavior {
                 out.window_at(0, Window::scalar(acc));
             }
             1 => self.taps = Some(d.window_at(1).samples().to_vec()),
-            _ => return false,
+            _ => unreachable!("fir has no such method"),
         }
-        true
     }
 
-    fn ready(&self, method: &str) -> bool {
-        method != "runFir" || self.taps.is_some()
-    }
-
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method != 0 || self.taps.is_some())
-    }
-
-    // runFir is pure in the loaded taps and never flips its ready() gate.
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let Self {
-            taps,
-            trev,
-            region,
-            acc,
-        } = self;
-        let taps = taps.as_ref().expect("taps loaded before data");
-        let n = taps.len();
-        let k = batch.count();
-        // Reversed taps in the scalar zip order: sample i multiplies
-        // taps[n - 1 - i].
-        trev.clear();
-        trev.extend(taps.iter().rev());
-        // Sample-major transpose (see conv.rs): unit-stride across firings,
-        // scalar accumulation order within each firing.
-        region.clear();
-        region.resize(n * k, 0.0);
-        for f in 0..k {
-            let s = batch.window(f, 0).samples();
-            for (i, &v) in s.iter().enumerate().take(n) {
-                region[i * k + f] = v;
-            }
-        }
-        acc.clear();
-        acc.resize(k, 0.0);
-        for i in 0..n {
-            let t = trev[i];
-            let row = &region[i * k..(i + 1) * k];
-            for (a, &x) in acc.iter_mut().zip(row) {
-                *a += x * t;
-            }
-        }
-        for &v in acc.iter() {
-            out.window_at(0, Window::scalar(v));
-            out.end_firing();
-        }
-        true
+    fn ready(&self, method: usize) -> bool {
+        method != 0 || self.taps.is_some()
     }
 }
 
@@ -146,12 +66,7 @@ pub fn fir(n: u32) -> KernelDef {
             MethodCost::new(4 + n as u64, n as u64),
         ))
         .with_state_words(n as u64);
-    KernelDef::new(spec, || FirBehavior {
-        taps: None,
-        trev: Vec::new(),
-        region: Vec::new(),
-        acc: Vec::new(),
-    })
+    KernelDef::new(spec, || FirBehavior { taps: None })
 }
 
 /// Normalized moving-average taps for an `n`-tap FIR.
@@ -177,41 +92,8 @@ pub fn lowpass_taps(n: u32) -> Window {
 struct DecimateBehavior;
 
 impl KernelBehavior for DecimateBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        // Keep the first sample of each block.
-        out.window("out", Window::scalar(d.window("in").get(0, 0)));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window_at(0, Window::scalar(d.window_at(0).samples()[0]));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        for f in 0..batch.count() {
-            out.window_at(0, Window::scalar(batch.window(f, 0).samples()[0]));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -240,15 +122,15 @@ mod tests {
     fn fir_computes_dot_product_with_reversed_taps() {
         let def = fir(3);
         let mut b = (def.factory)();
-        assert!(!b.ready("runFir"));
+        assert!(!b.ready(0));
         let consumed = vec![(
             1usize,
             Item::Window(Window::from_vec(Dim2::new(3, 1), vec![1.0, 2.0, 3.0])),
         )];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("loadTaps", &data, &mut out);
-        assert!(b.ready("runFir"));
+        b.fire(1, &data, &mut out);
+        assert!(b.ready(0));
 
         let consumed = vec![(
             0usize,
@@ -256,7 +138,7 @@ mod tests {
         )];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("runFir", &data, &mut out);
+        b.fire(0, &data, &mut out);
         // Convolution form: newest sample (30) multiplies tap[0] = 1.
         let got = out.into_items()[0].1.window().unwrap().as_scalar();
         assert_eq!(got, 10.0 * 3.0 + 20.0 * 2.0 + 30.0 * 1.0);
@@ -269,14 +151,14 @@ mod tests {
         let consumed = vec![(1usize, Item::Window(boxcar_taps(4)))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("loadTaps", &data, &mut out);
+        b.fire(1, &data, &mut out);
         let consumed = vec![(
             0usize,
             Item::Window(Window::from_vec(Dim2::new(4, 1), vec![1.0, 2.0, 3.0, 4.0])),
         )];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("runFir", &data, &mut out);
+        b.fire(0, &data, &mut out);
         assert_eq!(out.into_items()[0].1.window().unwrap().as_scalar(), 2.5);
     }
 
@@ -301,7 +183,7 @@ mod tests {
         )];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("run", &data, &mut out);
+        b.fire(0, &data, &mut out);
         assert_eq!(out.into_items()[0].1.window().unwrap().as_scalar(), 7.0);
     }
 }

@@ -40,37 +40,9 @@ impl HistogramBehavior {
 impl KernelBehavior for HistogramBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "count" => {
-                let v = d.window("in").as_scalar();
-                let bin = self.find_bin(v);
-                self.counts[bin] += 1;
-            }
-            "finishCount" => {
-                // Flush the frame's counts and reset; emit the counts block
-                // followed by an explicit end-of-frame so downstream
-                // per-frame kernels (the merge) stay frame-aligned however
-                // many parallel instances exist.
-                let w = self.flush();
-                out.window("out", w);
-                out.token("out", ControlToken::EndOfFrame);
-            }
-            "configureBins" => {
-                let w = d.window("bins");
-                self.bin_uppers = w.samples().to_vec();
-                for c in self.counts.iter_mut() {
-                    *c = 0;
-                }
-            }
-            "ignoreEol" => {}
-            other => panic!("histogram has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = count, 1 = finishCount, 2 = ignoreEol,
     // 3 = configureBins.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let v = d.window_at(0).as_scalar();
@@ -78,6 +50,10 @@ impl KernelBehavior for HistogramBehavior {
                 self.counts[bin] += 1;
             }
             1 => {
+                // Flush the frame's counts and reset; emit the counts block
+                // followed by an explicit end-of-frame so downstream
+                // per-frame kernels (the merge) stay frame-aligned however
+                // many parallel instances exist.
                 let w = self.flush();
                 out.window_at(0, w);
                 out.token_at(0, ControlToken::EndOfFrame);
@@ -89,18 +65,13 @@ impl KernelBehavior for HistogramBehavior {
                     *c = 0;
                 }
             }
-            _ => return false,
+            _ => unreachable!("histogram has no such method"),
         }
-        true
     }
 
-    fn ready(&self, method: &str) -> bool {
+    fn ready(&self, method: usize) -> bool {
         // Counting requires configured bin bounds.
-        !matches!(method, "count" | "finishCount") || !self.bin_uppers.is_empty()
-    }
-
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(!matches!(method, 0 | 1) || !self.bin_uppers.is_empty())
+        !matches!(method, 0 | 1) || !self.bin_uppers.is_empty()
     }
 }
 
@@ -165,34 +136,8 @@ struct MergeBehavior {
 impl KernelBehavior for MergeBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "accumulate" => {
-                let w = d.window("in");
-                if self.acc.len() != w.samples().len() {
-                    self.acc = vec![0.0; w.samples().len()];
-                }
-                for (a, s) in self.acc.iter_mut().zip(w.samples()) {
-                    *a += *s;
-                }
-            }
-            "emit" => {
-                let n = self.acc.len() as u32;
-                let w = Window::from_fn(Dim2::new(n.max(1), 1), |x, _| {
-                    self.acc.get(x as usize).copied().unwrap_or(0.0)
-                });
-                for a in self.acc.iter_mut() {
-                    *a = 0.0;
-                }
-                out.window("out", w);
-                out.token("out", ControlToken::EndOfFrame);
-            }
-            other => panic!("merge has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = accumulate, 1 = emit.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let w = d.window_at(0);
@@ -214,9 +159,8 @@ impl KernelBehavior for MergeBehavior {
                 out.window_at(0, w);
                 out.token_at(0, ControlToken::EndOfFrame);
             }
-            _ => return false,
+            _ => unreachable!("merge has no such method"),
         }
-        true
     }
 }
 
@@ -259,7 +203,7 @@ mod tests {
     fn fire(
         def: &KernelDef,
         b: &mut Box<dyn KernelBehavior>,
-        method: &str,
+        method: usize,
         port: usize,
         item: Item,
     ) -> Vec<(usize, Item)> {
@@ -274,38 +218,20 @@ mod tests {
     fn counts_then_flushes_on_eof() {
         let def = histogram(4);
         let mut b = (def.factory)();
-        assert!(!b.ready("count"), "bins must be configured first");
-        fire(
-            &def,
-            &mut b,
-            "configureBins",
-            1,
-            Item::Window(uniform_bins(4, 0.0, 4.0)),
-        );
-        assert!(b.ready("count"));
+        assert!(!b.ready(0), "bins must be configured first");
+        fire(&def, &mut b, 3, 1, Item::Window(uniform_bins(4, 0.0, 4.0)));
+        assert!(b.ready(0));
         for v in [0.5, 1.5, 1.7, 3.2, 9.9] {
-            fire(&def, &mut b, "count", 0, Item::Window(Window::scalar(v)));
+            fire(&def, &mut b, 0, 0, Item::Window(Window::scalar(v)));
         }
-        let out = fire(
-            &def,
-            &mut b,
-            "finishCount",
-            0,
-            Item::Control(ControlToken::EndOfFrame),
-        );
+        let out = fire(&def, &mut b, 1, 0, Item::Control(ControlToken::EndOfFrame));
         assert_eq!(out.len(), 2);
         let counts = out[0].1.window().unwrap();
         assert_eq!(counts.samples(), &[1.0, 2.0, 0.0, 2.0]); // 9.9 lands in last bin
         assert!(matches!(out[1].1, Item::Control(ControlToken::EndOfFrame)));
 
         // Counts reset for the next frame.
-        let out2 = fire(
-            &def,
-            &mut b,
-            "finishCount",
-            0,
-            Item::Control(ControlToken::EndOfFrame),
-        );
+        let out2 = fire(&def, &mut b, 1, 0, Item::Control(ControlToken::EndOfFrame));
         assert_eq!(out2[0].1.window().unwrap().samples(), &[0.0; 4]);
     }
 
@@ -315,24 +241,12 @@ mod tests {
         let mut b = (def.factory)();
         let p1 = Window::from_vec(Dim2::new(3, 1), vec![1.0, 0.0, 2.0]);
         let p2 = Window::from_vec(Dim2::new(3, 1), vec![0.0, 5.0, 1.0]);
-        fire(&def, &mut b, "accumulate", 0, Item::Window(p1));
-        fire(&def, &mut b, "accumulate", 0, Item::Window(p2));
-        let out = fire(
-            &def,
-            &mut b,
-            "emit",
-            0,
-            Item::Control(ControlToken::EndOfFrame),
-        );
+        fire(&def, &mut b, 0, 0, Item::Window(p1));
+        fire(&def, &mut b, 0, 0, Item::Window(p2));
+        let out = fire(&def, &mut b, 1, 0, Item::Control(ControlToken::EndOfFrame));
         assert_eq!(out[0].1.window().unwrap().samples(), &[1.0, 5.0, 3.0]);
         // and resets
-        let out2 = fire(
-            &def,
-            &mut b,
-            "emit",
-            0,
-            Item::Control(ControlToken::EndOfFrame),
-        );
+        let out2 = fire(&def, &mut b, 1, 0, Item::Control(ControlToken::EndOfFrame));
         assert_eq!(out2[0].1.window().unwrap().samples(), &[0.0, 0.0, 0.0]);
     }
 

@@ -57,33 +57,8 @@ impl InsetBehavior {
 impl KernelBehavior for InsetBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "filter" => {
-                let keep_col = self.x >= self.m.left && self.x < self.data.w - self.m.right;
-                if self.row_kept() && keep_col {
-                    out.window("out", Window::scalar(d.window("in").as_scalar()));
-                }
-                self.x += 1;
-            }
-            "eol" => {
-                if self.row_kept() {
-                    out.token("out", ControlToken::EndOfLine);
-                }
-                self.x = 0;
-                self.y += 1;
-            }
-            "eof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.x = 0;
-                self.y = 0;
-            }
-            other => panic!("inset has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = filter, 1 = eol, 2 = eof.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let keep_col = self.x >= self.m.left && self.x < self.data.w - self.m.right;
@@ -104,9 +79,8 @@ impl KernelBehavior for InsetBehavior {
                 self.x = 0;
                 self.y = 0;
             }
-            _ => return false,
+            _ => unreachable!("inset has no such method"),
         }
-        true
     }
 }
 
@@ -166,9 +140,9 @@ mod tests {
         let mut got = Vec::new();
         for item in items {
             let method = match &item {
-                Item::Window(_) => "filter",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
+                Item::Window(_) => 0,
+                Item::Control(ControlToken::EndOfLine) => 1,
+                Item::Control(ControlToken::EndOfFrame) => 2,
                 Item::Control(ControlToken::Custom(_)) => continue,
             };
             let consumed = vec![(0usize, item)];

@@ -70,27 +70,9 @@ struct JoinRrBehavior {
 impl KernelBehavior for JoinRrBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "syncEol" => out.token("out", ControlToken::EndOfLine),
-            "syncEof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.state = 0;
-            }
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                debug_assert_eq!(idx, self.state);
-                let w = d.window(&format!("in{idx}")).clone();
-                out.window("out", w);
-                self.state = (self.state + 1) % self.k;
-            }
-            other => panic!("join has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0..k-1 = take{i}, k = syncEol, k+1 = syncEof; input
     // `in{i}` is input index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         if method < self.k {
             debug_assert_eq!(method, self.state);
             let w = d.window_at(method).clone();
@@ -102,23 +84,12 @@ impl KernelBehavior for JoinRrBehavior {
             out.token_at(0, ControlToken::EndOfFrame);
             self.state = 0;
         } else {
-            return false;
-        }
-        true
-    }
-
-    fn ready(&self, method: &str) -> bool {
-        match method {
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                idx == self.state
-            }
-            _ => true,
+            unreachable!("join has no such method");
         }
     }
 
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method >= self.k || method == self.state)
+    fn ready(&self, method: usize) -> bool {
+        method >= self.k || method == self.state
     }
 }
 
@@ -153,32 +124,9 @@ impl JoinColumnsBehavior {
 impl KernelBehavior for JoinColumnsBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "syncEol" => {
-                out.token("out", ControlToken::EndOfLine);
-                self.input = 0;
-                self.taken = 0;
-            }
-            "syncEof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.input = 0;
-                self.taken = 0;
-            }
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                debug_assert_eq!(idx, self.input);
-                let w = d.window(&format!("in{idx}")).clone();
-                out.window("out", w);
-                self.advance();
-            }
-            other => panic!("join has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0..k-1 = take{i}, k = syncEol, k+1 = syncEof; input
     // `in{i}` is input index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let k = self.counts.len();
         if method < k {
             debug_assert_eq!(method, self.input);
@@ -194,23 +142,12 @@ impl KernelBehavior for JoinColumnsBehavior {
             self.input = 0;
             self.taken = 0;
         } else {
-            return false;
-        }
-        true
-    }
-
-    fn ready(&self, method: &str) -> bool {
-        match method {
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                idx == self.input
-            }
-            _ => true,
+            unreachable!("join has no such method");
         }
     }
 
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method >= self.counts.len() || method == self.input)
+    fn ready(&self, method: usize) -> bool {
+        method >= self.counts.len() || method == self.input
     }
 }
 
@@ -248,7 +185,7 @@ mod tests {
         let mut got = Vec::new();
         loop {
             let mut fired = false;
-            'methods: for m in &def.spec.methods {
+            'methods: for (mi, m) in def.spec.methods.iter().enumerate() {
                 if m.triggers.is_empty() {
                     continue;
                 }
@@ -263,7 +200,7 @@ mod tests {
                         continue 'methods;
                     }
                 }
-                if !b.ready(&m.name) {
+                if !b.ready(mi) {
                     continue;
                 }
                 let consumed: Vec<(usize, Item)> = m
@@ -276,7 +213,7 @@ mod tests {
                     .collect();
                 let data = FireData::new(&def.spec, &consumed);
                 let mut out = Emitter::new(&def.spec);
-                b.fire(&m.name, &data, &mut out);
+                b.fire(mi, &data, &mut out);
                 got.extend(out.into_items().into_iter().map(|(_, i)| i));
                 fired = true;
                 break;

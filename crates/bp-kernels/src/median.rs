@@ -1,9 +1,7 @@
 //! Windowed median filter — the non-linear half of the paper's running
 //! example (the "3x3 Median" kernel).
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Step2, Window};
@@ -28,45 +26,9 @@ impl MedianBehavior {
 }
 
 impl KernelBehavior for MedianBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let v = self.median_of(d.window("in"));
-        out.window("out", Window::scalar(v));
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let v = self.median_of(d.window_at(0));
         out.window_at(0, Window::scalar(v));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
-    }
-
-    // Stateless per firing (the scratch is pure working memory), so runs
-    // coalesce; the batch body reuses the one scratch allocation across the
-    // whole region. The sort itself must stay the scalar comparator path —
-    // a selection network could pick a bitwise-different representative
-    // among equal samples (-0.0 vs 0.0) and break payload byte-identity.
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        for f in 0..batch.count() {
-            let v = self.median_of(batch.window(f, 0));
-            out.window_at(0, Window::scalar(v));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -100,7 +62,7 @@ mod tests {
         let consumed = vec![(0usize, Item::Window(input))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("runMedian", &data, &mut out);
+        b.fire(0, &data, &mut out);
         out.into_items()[0].1.window().unwrap().as_scalar()
     }
 

@@ -14,20 +14,12 @@ struct ReplicateBehavior {
 }
 
 impl KernelBehavior for ReplicateBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        for i in 0..self.k {
-            out.window(&format!("out{i}"), w.clone());
-        }
-    }
-
     // Single method `copy`; output `out{i}` is output index `i`.
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let w = d.window_at(0);
         for i in 0..self.k {
             out.window_at(i, w.clone());
         }
-        true
     }
 }
 
@@ -67,7 +59,7 @@ mod tests {
         let consumed = vec![(0usize, Item::Window(w.clone()))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("copy", &data, &mut out);
+        b.fire(0, &data, &mut out);
         let items = out.into_items();
         assert_eq!(items.len(), 3);
         for (i, (port, item)) in items.iter().enumerate() {

@@ -132,13 +132,8 @@ impl KernelBehavior for SinkBehavior {
         self.handle.items.lock().unwrap().truncate(len);
     }
 
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, _out: &mut Emitter<'_>) {
-        self.handle.items.lock().unwrap().push(d.item("in").clone());
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, _out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, _out: &mut Emitter<'_>) {
         self.handle.items.lock().unwrap().push(d.item_at(0).clone());
-        true
     }
 }
 
@@ -185,9 +180,9 @@ mod tests {
         let mut b = (def.factory)();
         for item in items {
             let method = match &item {
-                Item::Window(_) => "take",
-                Item::Control(ControlToken::EndOfLine) => "takeEol",
-                Item::Control(ControlToken::EndOfFrame) => "takeEof",
+                Item::Window(_) => 0,
+                Item::Control(ControlToken::EndOfLine) => 1,
+                Item::Control(ControlToken::EndOfFrame) => 2,
                 Item::Control(ControlToken::Custom(_)) => continue,
             };
             let consumed = vec![(0usize, item)];

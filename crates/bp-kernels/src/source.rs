@@ -24,22 +24,7 @@ struct FrameSourceBehavior {
 impl KernelBehavior for FrameSourceBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
-        out.window("out", Window::scalar((self.gen)(self.f, self.x, self.y)));
-        self.x += 1;
-        if self.x == self.frame.w {
-            self.x = 0;
-            out.token("out", ControlToken::EndOfLine);
-            self.y += 1;
-            if self.y == self.frame.h {
-                self.y = 0;
-                self.f += 1;
-                out.token("out", ControlToken::EndOfFrame);
-            }
-        }
-    }
-
-    fn fire_fast(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window_at(0, Window::scalar((self.gen)(self.f, self.x, self.y)));
         self.x += 1;
         if self.x == self.frame.w {
@@ -52,7 +37,6 @@ impl KernelBehavior for FrameSourceBehavior {
                 out.token_at(0, ControlToken::EndOfFrame);
             }
         }
-        true
     }
 }
 
@@ -93,13 +77,8 @@ struct ConstSourceBehavior {
 }
 
 impl KernelBehavior for ConstSourceBehavior {
-    fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
-        out.window("out", self.window.clone());
-    }
-
-    fn fire_fast(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window_at(0, self.window.clone());
-        true
     }
 }
 
@@ -134,7 +113,7 @@ mod tests {
             let consumed: Vec<(usize, Item)> = Vec::new();
             let data = FireData::new(&def.spec, &consumed);
             let mut out = Emitter::new(&def.spec);
-            b.fire("generate", &data, &mut out);
+            b.fire(0, &data, &mut out);
             all.push(out.into_items());
         }
         all
@@ -162,7 +141,7 @@ mod tests {
             let consumed: Vec<(usize, Item)> = Vec::new();
             let data = FireData::new(&def.spec, &consumed);
             let mut out = Emitter::new(&def.spec);
-            b.fire("generate", &data, &mut out);
+            b.fire(0, &data, &mut out);
             let items = out.into_items();
             vals.push(items[0].1.window().unwrap().as_scalar());
         }
@@ -179,7 +158,7 @@ mod tests {
         let consumed: Vec<(usize, Item)> = Vec::new();
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("provide", &data, &mut out);
+        b.fire(0, &data, &mut out);
         let items = out.into_items();
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].1.window().unwrap(), &w);

@@ -61,31 +61,9 @@ struct SplitRrBehavior {
 impl KernelBehavior for SplitRrBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "dispatch" => {
-                let w = d.window("in").clone();
-                out.window(&format!("out{}", self.state), w);
-                self.state = (self.state + 1) % self.k;
-            }
-            "eol" => {
-                for i in 0..self.k {
-                    out.token(&format!("out{i}"), ControlToken::EndOfLine);
-                }
-            }
-            "eof" => {
-                for i in 0..self.k {
-                    out.token(&format!("out{i}"), ControlToken::EndOfFrame);
-                }
-                self.state = 0;
-            }
-            other => panic!("split has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = dispatch, 1 = eol, 2 = eof; output `out{i}` is
     // output index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let w = d.window_at(0).clone();
@@ -103,9 +81,8 @@ impl KernelBehavior for SplitRrBehavior {
                 }
                 self.state = 0;
             }
-            _ => return false,
+            _ => unreachable!("split has no such method"),
         }
-        true
     }
 }
 
@@ -152,36 +129,9 @@ struct SplitColumnsBehavior {
 impl KernelBehavior for SplitColumnsBehavior {
     bp_core::kernel_snapshot_via_clone!();
 
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "dispatch" => {
-                let w = d.window("in");
-                for (i, r) in self.ranges.iter().enumerate() {
-                    if r.contains(self.x) {
-                        out.window(&format!("out{i}"), w.clone());
-                    }
-                }
-                self.x += 1;
-            }
-            "eol" => {
-                for i in 0..self.ranges.len() {
-                    out.token(&format!("out{i}"), ControlToken::EndOfLine);
-                }
-                self.x = 0;
-            }
-            "eof" => {
-                for i in 0..self.ranges.len() {
-                    out.token(&format!("out{i}"), ControlToken::EndOfFrame);
-                }
-                self.x = 0;
-            }
-            other => panic!("split has no method '{other}'"),
-        }
-    }
-
     // Spec order: 0 = dispatch, 1 = eol, 2 = eof; output `out{i}` is
     // output index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let w = d.window_at(0);
@@ -204,9 +154,8 @@ impl KernelBehavior for SplitColumnsBehavior {
                 }
                 self.x = 0;
             }
-            _ => return false,
+            _ => unreachable!("split has no such method"),
         }
-        true
     }
 }
 
@@ -262,9 +211,9 @@ mod tests {
         let mut got = Vec::new();
         for item in items {
             let method = match &item {
-                Item::Window(_) => "dispatch",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
+                Item::Window(_) => 0,
+                Item::Control(ControlToken::EndOfLine) => 1,
+                Item::Control(ControlToken::EndOfFrame) => 2,
                 Item::Control(ControlToken::Custom(_)) => continue,
             };
             let consumed = vec![(0usize, item)];

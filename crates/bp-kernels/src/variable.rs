@@ -60,24 +60,10 @@ impl MotionSearchBehavior {
 }
 
 impl KernelBehavior for MotionSearchBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let (best, tried) = self.search(d.window("in"));
-        out.report_cycles(SEARCH_BASE_CYCLES + tried * SEARCH_POSITION_CYCLES);
-        out.window("out", Window::scalar(best));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let (best, tried) = self.search(d.window_at(0));
         out.report_cycles(SEARCH_BASE_CYCLES + tried * SEARCH_POSITION_CYCLES);
         out.window_at(0, Window::scalar(best));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -116,7 +102,7 @@ mod tests {
         let consumed = vec![(0usize, Item::Window(w))];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("search", &data, &mut out);
+        b.fire(0, &data, &mut out);
         let (items, cycles) = out.into_parts();
         (items[0].1.window().unwrap().as_scalar(), cycles)
     }
@@ -154,34 +140,6 @@ mod tests {
             cycles,
             Some(SEARCH_BASE_CYCLES + 5 * SEARCH_POSITION_CYCLES)
         );
-    }
-
-    /// Parity audit: the index-dispatched fast path must reproduce the
-    /// name path exactly — emissions *and* the data-dependent reported
-    /// cycles — across random windows straddling the early-exit threshold.
-    #[test]
-    fn fast_path_parity_with_name_dispatch() {
-        let def = motion_search(0.75, 9);
-        let mut rng = bp_core::Rng64::seed_from_u64(0x5eed_7001);
-        for _ in 0..64 {
-            let w = Window::from_fn(Dim2::new(6, 6), |_, _| rng.gen_range_f64(0.0, 2.0));
-            let consumed = vec![(0usize, Item::Window(w))];
-            let data = FireData::new(&def.spec, &consumed);
-
-            let mut slow = (def.factory)();
-            let mut out_slow = Emitter::new(&def.spec);
-            slow.fire("search", &data, &mut out_slow);
-            let (items_slow, cycles_slow) = out_slow.into_parts();
-
-            let mut fast = (def.factory)();
-            assert_eq!(fast.ready_fast(0), Some(fast.ready("search")));
-            let mut out_fast = Emitter::new(&def.spec);
-            assert!(fast.fire_fast(0, &data, &mut out_fast));
-            let (items_fast, cycles_fast) = out_fast.into_parts();
-
-            assert_eq!(items_slow, items_fast);
-            assert_eq!(cycles_slow, cycles_fast);
-        }
     }
 
     #[test]

@@ -18,22 +18,21 @@ fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<(usize, Item)> {
         .spec
         .methods
         .iter()
-        .find(|m| m.is_data_method())
-        .map(|m| m.name.clone())
+        .position(|m| m.is_data_method())
         .expect("data method");
     let mut b = (def.factory)();
     let mut got = Vec::new();
     for item in items {
         let method = match &item {
-            Item::Window(_) => data_method.clone(),
+            Item::Window(_) => data_method,
             Item::Control(t) => {
                 let kind = t.kind();
-                match def.spec.methods.iter().find(|m| {
+                match def.spec.methods.iter().position(|m| {
                     m.triggers
                         .iter()
                         .any(|tr| tr.on == bp_core::TriggerOn::Token(kind))
                 }) {
-                    Some(m) => m.name.clone(),
+                    Some(mi) => mi,
                     None => continue, // would be auto-forwarded by the executor
                 }
             }
@@ -41,7 +40,7 @@ fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<(usize, Item)> {
         let consumed = vec![(0usize, item)];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire(&method, &data, &mut out);
+        b.fire(method, &data, &mut out);
         got.extend(out.into_items());
     }
     got
@@ -136,8 +135,8 @@ fn split_join_roundtrip_is_identity() {
         let mut branch: Vec<VecDeque<Item>> = vec![VecDeque::new(); kk];
         for item in items {
             let method = match &item {
-                Item::Window(_) => "dispatch",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
+                Item::Window(_) => 0,
+                Item::Control(ControlToken::EndOfFrame) => 2,
                 _ => unreachable!(),
             };
             let consumed = vec![(0usize, item)];
@@ -154,7 +153,7 @@ fn split_join_roundtrip_is_identity() {
         let mut collected = Vec::new();
         loop {
             let mut fired = false;
-            'methods: for m in &join.spec.methods {
+            'methods: for (mi, m) in join.spec.methods.iter().enumerate() {
                 for t in &m.triggers {
                     let idx = join.spec.input_index(&t.input).unwrap();
                     let ok = match branch[idx].front() {
@@ -166,7 +165,7 @@ fn split_join_roundtrip_is_identity() {
                         continue 'methods;
                     }
                 }
-                if !jb.ready(&m.name) {
+                if !jb.ready(mi) {
                     continue;
                 }
                 let consumed: Vec<(usize, Item)> = m
@@ -179,7 +178,7 @@ fn split_join_roundtrip_is_identity() {
                     .collect();
                 let data = FireData::new(&join.spec, &consumed);
                 let mut out = Emitter::new(&join.spec);
-                jb.fire(&m.name, &data, &mut out);
+                jb.fire(mi, &data, &mut out);
                 collected.extend(out.into_items().into_iter().map(|(_, i)| i));
                 fired = true;
                 break;
@@ -280,7 +279,7 @@ fn median_is_order_statistic() {
         )];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire("runMedian", &data, &mut out);
+        b.fire(0, &data, &mut out);
         let got = out.into_items()[0].1.window().unwrap().as_scalar();
         let mut sorted = vals.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -301,14 +300,14 @@ fn convolution_is_linear() {
             let consumed = vec![(1usize, Item::Window(k::box_coefficients(5, 5)))];
             let data = FireData::new(&def.spec, &consumed);
             let mut out = Emitter::new(&def.spec);
-            b.fire("loadCoeff", &data, &mut out);
+            b.fire(1, &data, &mut out);
             let consumed = vec![(
                 0usize,
                 Item::Window(Window::from_vec(Dim2::new(5, 5), input)),
             )];
             let data = FireData::new(&def.spec, &consumed);
             let mut out = Emitter::new(&def.spec);
-            b.fire("runConvolve", &data, &mut out);
+            b.fire(0, &data, &mut out);
             out.into_items()[0].1.window().unwrap().as_scalar()
         };
         let base = fire_with(vals.clone());

@@ -70,7 +70,7 @@ pub use parallel::{run_batch, run_batch_with_workers};
 pub use runtime::{Action, Program, RtNode, SourceRt};
 pub use stats::{PeStats, RealTimeVerdict, SimReport};
 pub use step::SteppableSim;
-pub use timed::{derive_channel_capacity, Backend, BatchPolicy, SimConfig, TimedSimulator};
+pub use timed::{derive_channel_capacity, Backend, SimConfig, TimedSimulator};
 pub use timed_parallel::{profile_node_weights, ParallelRunStats, ParallelTimedSimulator};
 pub use trace::{
     ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,

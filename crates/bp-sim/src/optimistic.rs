@@ -253,7 +253,6 @@ pub(crate) struct Checkpoint {
     pub(crate) pe_stall: Vec<Option<crate::trace::StallCause>>,
     pub(crate) head_data: Vec<u64>,
     pub(crate) head_ctrl: Vec<u64>,
-    pub(crate) batches: Vec<bp_codegen::BatchStore>,
     pub(crate) space_waiting: Vec<bool>,
     pub(crate) nodes: Vec<NodeSnap>,
 }

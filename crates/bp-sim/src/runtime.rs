@@ -162,7 +162,7 @@ impl RtNode {
                 continue; // source method; fired externally
             }
             let all = cm.triggers.iter().all(|&(p, on)| self.matches(p, on));
-            if all && self.behavior.ready(&self.spec.methods[mi].name) {
+            if all && self.behavior.ready(mi) {
                 return Some(Action::Fire { method: mi });
             }
         }
@@ -238,10 +238,9 @@ impl RtNode {
                     ref mut behavior,
                     ..
                 } = *self;
-                let mname: &str = &spec.methods[method].name;
                 let data = FireData::new(spec, &consumed);
                 let mut out = Emitter::with_buffer(spec, out_storage);
-                behavior.fire(mname, &data, &mut out);
+                behavior.fire(method, &data, &mut out);
                 let parts = out.into_parts();
                 consumed.clear();
                 self.consumed_buf = consumed;
@@ -280,31 +279,10 @@ impl RtNode {
             ref mut behavior,
             ..
         } = *self;
-        let mname: &str = &spec.methods[method].name;
         let consumed: [(usize, Item); 0] = [];
         let data = FireData::new(spec, &consumed);
         let mut out = Emitter::with_buffer(spec, out_storage);
-        behavior.fire(mname, &data, &mut out);
-        out.into_items()
-    }
-
-    /// [`fire_untriggered`](Self::fire_untriggered) through the behavior's
-    /// index-dispatched fast path (compiled backend), falling back to the
-    /// name dispatch when the kernel has none.
-    pub(crate) fn fire_untriggered_fast(&mut self, method: usize) -> Vec<(usize, Item)> {
-        self.firings += 1;
-        let out_storage = std::mem::take(&mut self.out_buf);
-        let RtNode {
-            ref spec,
-            ref mut behavior,
-            ..
-        } = *self;
-        let consumed: [(usize, Item); 0] = [];
-        let data = FireData::new(spec, &consumed);
-        let mut out = Emitter::with_buffer(spec, out_storage);
-        if !behavior.fire_fast(method, &data, &mut out) {
-            behavior.fire(&spec.methods[method].name, &data, &mut out);
-        }
+        behavior.fire(method, &data, &mut out);
         out.into_items()
     }
 
@@ -329,67 +307,6 @@ impl RtNode {
         });
         self.consumed_buf = consumed;
         (emitted, res)
-    }
-
-    /// Speculatively precompute `count` consecutive firings of method `mi`
-    /// into `store` without popping any input (compiled-backend batching).
-    /// Returns `false` when the behavior declines; the caller then fires
-    /// scalar as usual.
-    pub(crate) fn speculate_batch(
-        &mut self,
-        tm: &bp_codegen::ThreadedMethod,
-        mi: usize,
-        count: usize,
-        store: &mut bp_codegen::BatchStore,
-    ) -> bool {
-        bp_codegen::speculative_batch(
-            &self.spec,
-            &self.queues,
-            self.behavior.as_mut(),
-            mi,
-            &tm.trigger_ports,
-            count,
-            store,
-        )
-    }
-
-    /// Replay one precomputed firing from `store`: pop the trigger inputs
-    /// (charging the read words of the actual popped items, exactly like the
-    /// scalar firing routine), move the firing's stored emissions into the
-    /// recycled emit buffer, and surface the stored actual cycles. Counts as
-    /// a firing only now — speculation itself leaves `firings` untouched.
-    pub(crate) fn replay_batched(
-        &mut self,
-        tm: &bp_codegen::ThreadedMethod,
-        store: &mut bp_codegen::BatchStore,
-    ) -> (Vec<(usize, Item)>, bp_codegen::FireResult) {
-        self.firings += 1;
-        let mut read_words = 0;
-        for &p in &tm.trigger_ports {
-            let it = self.queues[p]
-                .pop_front()
-                .expect("batched input disappeared");
-            debug_assert!(matches!(it, Item::Window(_)));
-            read_words += it.words();
-        }
-        let (range, actual_cycles) = store.take_next();
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        // Move each stored emission out (a cheap token takes its slot)
-        // rather than cloning: a clone would bump and later drop every
-        // window's refcount for no reason — each stored emission is
-        // delivered exactly once.
-        for slot in &mut store.items[range] {
-            let item = std::mem::replace(&mut slot.1, Item::Control(ControlToken::EndOfLine));
-            out.push((slot.0, item));
-        }
-        (
-            out,
-            bp_codegen::FireResult {
-                read_words,
-                actual_cycles,
-            },
-        )
     }
 
     /// Direct-threaded token forward (compiled backend): pop the trigger

@@ -96,50 +96,6 @@ pub enum Backend {
     Compiled,
 }
 
-/// Firing-coalescing policy for the compiled backend (DESIGN.md §14).
-///
-/// With `width > 1`, when a batch-eligible node is scheduled and `k ≥ 2`
-/// consecutive data windows head every trigger queue of its first method,
-/// the engine *speculatively* precomputes `min(k, width)` firings with one
-/// [`bp_core::KernelBehavior::fire_batch`] call — without popping any queue
-/// — and then replays the precomputed results one scheduled firing at a
-/// time. Every replayed firing still pops its own inputs, charges its own
-/// read/write words, returns its own credits, and records its own trace
-/// events, so the event schedule, the [`crate::SimReport`] (fingerprint
-/// included), traces, and deadlock reports are bit-identical to a scalar
-/// run. The interpreted backend ignores the policy entirely: it is the
-/// one-firing-at-a-time oracle the batched engine is differenced against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum firings coalesced into one `fire_batch` call; `1` disables
-    /// coalescing (the default — batching is opt-in).
-    pub width: usize,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self { width: 1 }
-    }
-}
-
-impl BatchPolicy {
-    /// One firing per kernel call (no coalescing).
-    pub fn scalar() -> Self {
-        Self { width: 1 }
-    }
-
-    /// Coalesce up to `width` firings per kernel call.
-    pub fn of_width(width: usize) -> Self {
-        assert!(width >= 1, "batch width must be at least 1");
-        Self { width }
-    }
-
-    /// True when the policy actually coalesces (`width > 1`).
-    pub fn is_batched(&self) -> bool {
-        self.width > 1
-    }
-}
-
 /// Timed simulation parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -162,8 +118,6 @@ pub struct SimConfig {
     /// feedback-aware back-edge overrides
     /// ([`bp_core::capacity::derive_channel_capacities`]).
     pub capacities: Option<ChannelCapacities>,
-    /// Compiled-backend firing coalescing (default [`BatchPolicy::scalar`]).
-    pub batch: BatchPolicy,
     /// Frames to push through every application input.
     pub frames: u32,
     /// Event tracing (`None`, the default, records nothing and adds no
@@ -216,7 +170,6 @@ impl SimConfig {
             comm: CommModel::zero(),
             channel_capacity: None,
             capacities: None,
-            batch: BatchPolicy::scalar(),
             frames,
             trace: None,
             metrics: None,
@@ -226,13 +179,6 @@ impl SimConfig {
             straggler: None,
             pin_workers: false,
         }
-    }
-
-    /// Set the compiled-backend firing-coalescing policy (default scalar).
-    /// Has no effect on the interpreted backend.
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Select the execution backend (default [`Backend::Auto`]).
@@ -487,11 +433,6 @@ pub(crate) struct CompiledTables {
     pub(crate) method_base: Vec<u32>,
     /// Total method slots across all nodes (the memo cache's length).
     pub(crate) num_method_slots: usize,
-    /// True when the node's method 0 is batch-eligible: its lowered shape
-    /// qualifies ([`bp_codegen::ThreadedMethod::batchable_shape`]) *and* the
-    /// behavior opted in via [`bp_core::KernelBehavior::batchable`] (constant
-    /// per method, so sampling it once at build time is sound).
-    pub(crate) node_batchable: Vec<bool>,
 }
 
 /// Per-method memo of the last read/write word-cost conversions (compiled
@@ -560,10 +501,6 @@ pub(crate) struct Shared {
     pub(crate) metrics: Option<ResolvedMetrics>,
     /// Direct-threaded execution tables; `None` runs the interpreter.
     pub(crate) compiled: Option<CompiledTables>,
-    /// Effective coalescing width: [`SimConfig::batch`] when the compiled
-    /// backend is active, otherwise forced to 1 (the interpreter is the
-    /// one-firing oracle and never batches).
-    pub(crate) batch_width: usize,
     /// Parallel-engine synchronization protocol (see [`SimConfig::sync`]).
     pub(crate) sync: SyncMode,
     /// Optimistic-mode speculative checkpoint interval in events.
@@ -755,15 +692,6 @@ pub(crate) fn build_shared(
                 method_base.push(num_method_slots as u32);
                 num_method_slots += tn.methods.len();
             }
-            let node_batchable: Vec<bool> = program
-                .nodes
-                .iter()
-                .zip(&nodes)
-                .map(|(tn, rt)| {
-                    tn.methods.first().is_some_and(|m| m.batchable_shape)
-                        && rt.behavior.batchable(0)
-                })
-                .collect();
             CompiledTables {
                 program,
                 dests,
@@ -773,7 +701,6 @@ pub(crate) fn build_shared(
                 forward_run_s: 1.0 / clock,
                 method_base,
                 num_method_slots,
-                node_batchable,
             }
         })
     } else {
@@ -815,11 +742,6 @@ pub(crate) fn build_shared(
         num_sinks,
         trace: config.trace,
         metrics,
-        batch_width: if compiled.is_some() {
-            config.batch.width.max(1)
-        } else {
-            1
-        },
         compiled,
         sync: config.sync,
         checkpoint_interval: config.checkpoint_interval,
@@ -991,12 +913,6 @@ pub(crate) struct ShardSim<'a> {
     /// Compiled backend only: per-method [`RwMemo`] slots (flat-indexed
     /// via `CompiledTables::method_base`).
     rw_memo: Vec<RwMemo>,
-    /// Compiled backend only: per-node speculative batch store. While
-    /// `pending()`, the node's precomputed firings replay one scheduled
-    /// firing at a time (see [`BatchPolicy`]); the inputs the batch was
-    /// computed from are still queued, so diagnostics that read queues see
-    /// exactly the scalar engine's state.
-    batches: Vec<bp_codegen::BatchStore>,
     /// Compiled backend only: true when the node's last plan succeeded but
     /// `space_ok` declined it, so it is waiting on downstream consumption.
     /// The untraced dispatcher wakes upstream PEs only for flagged nodes —
@@ -1080,7 +996,6 @@ impl<'a> ShardSim<'a> {
                 RwMemo::default();
                 shared.compiled.as_ref().map_or(0, |ct| ct.num_method_slots)
             ],
-            batches: (0..n).map(|_| bp_codegen::BatchStore::default()).collect(),
             space_waiting: vec![false; n],
             opt: None,
         }
@@ -1770,7 +1685,6 @@ impl<'a> ShardSim<'a> {
         ck.pe_stall.clone_from(&self.pe_stall);
         ck.head_data.clone_from(&self.head_data);
         ck.head_ctrl.clone_from(&self.head_ctrl);
-        ck.batches.clone_from(&self.batches);
         ck.space_waiting.clone_from(&self.space_waiting);
         let mut idx = 0;
         for pe in 0..self.shared.residents.len() {
@@ -1827,7 +1741,6 @@ impl<'a> ShardSim<'a> {
         self.pe_stall.clone_from(&ck.pe_stall);
         self.head_data.clone_from(&ck.head_data);
         self.head_ctrl.clone_from(&ck.head_ctrl);
-        self.batches.clone_from(&ck.batches);
         self.space_waiting.clone_from(&ck.space_waiting);
         for snap in &ck.nodes {
             snap.restore(self.node_mut(snap.node));
@@ -2139,7 +2052,7 @@ impl<'a> ShardSim<'a> {
         if JRN {
             self.record_untriggered_begin(s.node, s.method);
         }
-        let emitted = self.node_mut(s.node).fire_untriggered_fast(s.method);
+        let emitted = self.node_mut(s.node).fire_untriggered(s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
         self.route_compiled::<OBS, JRN>(s.node, emitted, ct, &mut touched);
@@ -2934,84 +2847,6 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Fire the planned method — either through its direct-threaded scalar
-    /// routine or, when [`BatchPolicy`] coalescing applies to this node,
-    /// through the speculative batch store: precompute a run of consecutive
-    /// ready firings with one `fire_batch` call, then replay them one
-    /// scheduled firing at a time (DESIGN.md §14). Each replay pops its own
-    /// inputs and reports the stored per-firing cycles, so everything the
-    /// caller does with the result is identical to the scalar path.
-    ///
-    /// Soundness of replaying stale results: while the store is pending,
-    /// method 0's triggers stay satisfied (its windows still head the
-    /// queues), so the in-order plan scan can select no other method and no
-    /// forward — the only state the batched firings depend on (consumed
-    /// windows + behavior state, per the [`bp_core::KernelBehavior::batchable`]
-    /// contract) cannot change until the store drains.
-    fn fire_or_replay(
-        &mut self,
-        node: usize,
-        mi: usize,
-        tm: &bp_codegen::ThreadedMethod,
-        ct: &CompiledTables,
-    ) -> (Vec<(usize, Item)>, bp_codegen::FireResult) {
-        let width = self.shared.batch_width;
-        if width > 1 && mi == 0 && ct.node_batchable[node] {
-            if self.batches[node].pending() {
-                let mut store = std::mem::take(&mut self.batches[node]);
-                let out = self.node_mut(node).replay_batched(tm, &mut store);
-                self.batches[node] = store;
-                return out;
-            }
-            // Length of the all-windows run heading every trigger queue
-            // (≥ 1: the plan just matched the data mask), capped at the
-            // policy width. The O(ports) length bound comes first so the
-            // common single-item case — queues drained as fast as they
-            // fill — bails without touching queue contents.
-            let mut k = width;
-            {
-                let n = self.node(node);
-                for &p in &tm.trigger_ports {
-                    k = k.min(n.queues[p].len());
-                    if k < 2 {
-                        break;
-                    }
-                }
-                if k >= 2 {
-                    for &p in &tm.trigger_ports {
-                        let q = &n.queues[p];
-                        let mut run = 1;
-                        while run < k && matches!(q.get(run), Some(Item::Window(_))) {
-                            run += 1;
-                        }
-                        k = k.min(run);
-                        if k < 2 {
-                            break;
-                        }
-                    }
-                }
-            }
-            if k >= 2 {
-                // A declining behavior leaves the store empty and we fall
-                // through to the scalar routine below.
-                let mut store = std::mem::take(&mut self.batches[node]);
-                self.node_mut(node).speculate_batch(tm, mi, k, &mut store);
-                if store.pending() {
-                    let out = self.node_mut(node).replay_batched(tm, &mut store);
-                    self.batches[node] = store;
-                    return out;
-                }
-                self.batches[node] = store;
-            }
-        } else {
-            debug_assert!(
-                !self.batches[node].pending(),
-                "pending batch bypassed by a non-batched firing of node {node}"
-            );
-        }
-        self.node_mut(node).fire_threaded(&tm.fire)
-    }
-
     /// Compiled [`try_start`](Self::try_start): planning is a mask test
     /// plus the `ready()` call, firing runs the method's direct-threaded
     /// routine (pops, read-word accounting, and the behavior call fused),
@@ -3048,40 +2883,18 @@ impl<'a> ShardSim<'a> {
                     "stale head masks for node {node}"
                 );
             }
-            let action = if self.batches[node].pending() {
-                // Replay fast path: while precomputed firings are pending,
-                // method 0's windows still head every trigger queue, so the
-                // in-order plan scan can only return `Fire{0}` — skip it.
-                #[cfg(debug_assertions)]
-                {
-                    let n = self.node(node);
-                    let planned = tn.plan(
-                        self.head_data[node],
-                        self.head_ctrl[node],
-                        &n.queues,
-                        n.behavior.as_ref(),
-                    );
-                    debug_assert!(
-                        matches!(planned, Some(bp_codegen::PlannedAction::Fire { method: 0 })),
-                        "pending batch on node {node} but plan chose {planned:?}"
-                    );
-                }
-                bp_codegen::PlannedAction::Fire { method: 0 }
-            } else {
-                let action = {
-                    let n = self.node(node);
-                    tn.plan(
-                        self.head_data[node],
-                        self.head_ctrl[node],
-                        &n.queues,
-                        n.behavior.as_ref(),
-                    )
-                };
-                let Some(action) = action else {
-                    self.clear_dirty(node);
-                    continue;
-                };
-                action
+            let action = {
+                let n = self.node(node);
+                tn.plan(
+                    self.head_data[node],
+                    self.head_ctrl[node],
+                    &n.queues,
+                    n.behavior.as_ref(),
+                )
+            };
+            let Some(action) = action else {
+                self.clear_dirty(node);
+                continue;
             };
             let mi = match action {
                 bp_codegen::PlannedAction::Fire { method }
@@ -3101,7 +2914,7 @@ impl<'a> ShardSim<'a> {
             let tm = &tn.methods[mi];
             let (emitted, read_words, cycles, declared, run_s) = match action {
                 bp_codegen::PlannedAction::Fire { .. } => {
-                    let (emitted, res) = self.fire_or_replay(node, mi, tm, ct);
+                    let (emitted, res) = self.node_mut(node).fire_threaded(&tm.fire);
                     let declared = tm.cost_cycles;
                     let cycles = res.actual_cycles.unwrap_or(declared);
                     // Equal cycle counts reuse the build-time quotient
@@ -3115,10 +2928,6 @@ impl<'a> ShardSim<'a> {
                     (emitted, res.read_words, cycles, declared, run_s)
                 }
                 bp_codegen::PlannedAction::Forward { token, .. } => {
-                    // A forward needs tokens at the trigger heads, which is
-                    // impossible while precomputed window firings are
-                    // pending (their inputs still head the queues).
-                    debug_assert!(!self.batches[node].pending());
                     let emitted = self.node_mut(node).forward_threaded(tm, token);
                     (emitted, 0, 1, 1, ct.forward_run_s)
                 }

@@ -19,7 +19,7 @@ fn flagging_source(dim: Dim2) -> KernelDef {
         v: f64,
     }
     impl KernelBehavior for S {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
             out.window("out", Window::scalar(self.v));
             self.v += 1.0;
             if (self.v as u64).is_multiple_of(3) {
@@ -66,10 +66,11 @@ fn counting_kernel(counter: Arc<Mutex<u32>>) -> KernelDef {
         counter: Arc<Mutex<u32>>,
     }
     impl KernelBehavior for C {
-        fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        // Spec order: 0 = pass, 1 = onFlag.
+        fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
             match method {
-                "pass" => out.window("out", Window::scalar(d.window("in").as_scalar())),
-                "onFlag" => *self.counter.lock().unwrap() += 1,
+                0 => out.window("out", Window::scalar(d.window("in").as_scalar())),
+                1 => *self.counter.lock().unwrap() += 1,
                 other => panic!("no method {other}"),
             }
         }

@@ -27,15 +27,17 @@ struct MeanDetector {
 }
 
 impl KernelBehavior for MeanDetector {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    // Methods are addressed by their registration order in the spec:
+    // 0 = pass, 1 = endFrame.
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
-            "pass" => {
+            0 => {
                 let v = d.window("in").as_scalar();
                 self.sum += v;
                 self.count += 1;
                 out.window("out", Window::scalar(v));
             }
-            "endFrame" => {
+            1 => {
                 let mean = if self.count > 0 {
                     self.sum / self.count as f64
                 } else {
@@ -49,7 +51,7 @@ impl KernelBehavior for MeanDetector {
                 self.sum = 0.0;
                 self.count = 0;
             }
-            other => panic!("mean detector has no method '{other}'"),
+            other => panic!("mean detector has no method {other}"),
         }
     }
 }
@@ -93,17 +95,18 @@ struct AdaptiveGain {
 }
 
 impl KernelBehavior for AdaptiveGain {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    // 0 = apply, 1 = onOverexposed.
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
-            "apply" => {
+            0 => {
                 let v = d.window("in").as_scalar();
                 out.window("out", Window::scalar(v * self.gain));
             }
-            "onOverexposed" => {
+            1 => {
                 self.gain *= 0.5;
                 self.adjustments += 1;
             }
-            other => panic!("adaptive gain has no method '{other}'"),
+            other => panic!("adaptive gain has no method {other}"),
         }
     }
 }

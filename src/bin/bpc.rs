@@ -36,7 +36,6 @@ struct Args {
     snapshot_every: Option<u32>,
     comm: String,
     backend: Backend,
-    batch: usize,
     capacity: Option<usize>,
     explain_deadlock: bool,
     quiet: bool,
@@ -51,7 +50,7 @@ fn usage() -> ! {
          \x20          [--width N] [--height N] [--rate HZ] [--frames N]\n\
          \x20          [--policy trim|pad-zero|pad-mirror] [--mapping greedy|packed|one-to-one]\n\
          \x20          [--dot FILE] [--trace FILE] [--comm-model SPEC]\n\
-         \x20          [--backend auto|interpreted|compiled] [--batch N]\n\
+         \x20          [--backend auto|interpreted|compiled]\n\
          \x20          [--metrics[=FILE]] [--snapshot-every N]\n\
          \x20          [--capacity N] [--explain-deadlock] [--quiet]\n\
          \x20          [--threads N] [--sync conservative|optimistic] [--pin-workers]\n\
@@ -68,9 +67,6 @@ fn usage() -> ! {
          \x20  --backend     execution backend: auto (default; compiled in\n\
          \x20                release builds) | interpreted | compiled\n\
          \x20                (direct-threaded; results are bitwise identical)\n\
-         \x20  --batch N     compiled backend: coalesce up to N consecutive ready\n\
-         \x20                firings per kernel call (default 1 = scalar; results\n\
-         \x20                stay bitwise identical at any width)\n\
          \x20  --capacity N  pin every channel to N items, disabling the\n\
          \x20                feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\
@@ -102,7 +98,6 @@ fn parse_args() -> Args {
         snapshot_every: None,
         comm: "zero".to_string(),
         backend: Backend::Auto,
-        batch: 1,
         capacity: None,
         explain_deadlock: false,
         quiet: false,
@@ -122,7 +117,13 @@ fn parse_args() -> Args {
             "--app" => args.app = value("--app"),
             "--width" => args.width = value("--width").parse().unwrap_or_else(|_| usage()),
             "--height" => args.height = value("--height").parse().unwrap_or_else(|_| usage()),
-            "--rate" => args.rate = value("--rate").parse().unwrap_or_else(|_| usage()),
+            "--rate" => {
+                args.rate = value("--rate").parse().unwrap_or_else(|_| usage());
+                if !(args.rate.is_finite() && args.rate > 0.0) {
+                    eprintln!("--rate must be a finite frame rate above 0 Hz");
+                    usage()
+                }
+            }
             "--frames" => args.frames = value("--frames").parse().unwrap_or_else(|_| usage()),
             "--policy" => {
                 args.policy = match value("--policy").as_str() {
@@ -169,13 +170,6 @@ fn parse_args() -> Args {
                         eprintln!("unknown backend '{other}'");
                         usage()
                     }
-                }
-            }
-            "--batch" => {
-                args.batch = value("--batch").parse().unwrap_or_else(|_| usage());
-                if args.batch == 0 {
-                    eprintln!("--batch width must be at least 1");
-                    usage()
                 }
             }
             "--capacity" => {
@@ -311,8 +305,7 @@ fn main() -> ExitCode {
     let mut config = SimConfig::new(args.frames)
         .with_machine(opts.machine)
         .with_comm(comm)
-        .with_backend(args.backend)
-        .with_batch(BatchPolicy::of_width(args.batch));
+        .with_backend(args.backend);
     if let Some(cap) = args.capacity {
         config = config.with_channel_capacity(cap);
     }
@@ -322,10 +315,9 @@ fn main() -> ExitCode {
     if args.metrics.is_some() {
         let mut policy = MetricsPolicy::new();
         if let Some(n) = args.snapshot_every {
-            // One snapshot interval per N frame periods at the required rate.
-            if args.rate > 0.0 {
-                policy = policy.with_interval_s(n as f64 / args.rate);
-            }
+            // One snapshot interval per N frame periods at the required rate
+            // (parse_args guarantees a finite rate above 0).
+            policy = policy.with_interval_s(n as f64 / args.rate);
         }
         config = config.with_metrics(policy);
     }

@@ -202,7 +202,7 @@ fn window_report_cycles_roundtrip() {
     )];
     let data = bp_core::FireData::new(&def.spec, &consumed);
     let mut out = bp_core::Emitter::new(&def.spec);
-    beh.fire("search", &data, &mut out);
+    beh.fire(0, &data, &mut out);
     let (items, cycles) = out.into_parts();
     assert_eq!(items.len(), 1);
     assert!(cycles.is_some());
