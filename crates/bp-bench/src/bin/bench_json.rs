@@ -58,7 +58,8 @@ fn thread_cpu_ns() -> Option<u64> {
 /// `threads > 1` the sharded parallel engine runs instead (bitwise-identical
 /// report; the fig1b pipeline is one connected component, so this mainly
 /// measures the parallel path's overhead). With `trace` set, event tracing
-/// records into a default-capacity ring during the measurement.
+/// records into a default-capacity ring during the measurement; a traced
+/// run executes on the sequential engine whatever `threads` is.
 fn bench_timed(threads: usize, trace: bool, backend: Backend) -> Throughput {
     let app = bp_apps::fig1b(bp_apps::BIG, bp_apps::FAST);
     let opts = CompileOptions::default();

@@ -229,9 +229,8 @@ impl MetricsRecorder {
     }
 
     /// An event was created at simulated time `t` (the *sender's* clock
-    /// for cross-shard sends — the same discipline the replay journal
-    /// uses, which is what makes parallel merge reproduce the sequential
-    /// recorder).
+    /// for cross-shard sends, which is what makes the parallel merge
+    /// reproduce the sequential recorder).
     #[inline]
     pub fn event_pushed(&mut self, t: f64) {
         self.acc(t).pushes += 1;

@@ -15,8 +15,9 @@
 //! - [`timed_parallel`]: the same timed semantics executed across worker
 //!   threads — independent PE interaction regions simulate concurrently,
 //!   delayed channels give conservative lookahead *within* a region, and
-//!   the event journals are merged by replay, so the report is bitwise
-//!   identical to [`timed`]'s (DESIGN.md §9, §11).
+//!   frames are accounted per sink, so the report is bitwise identical to
+//!   [`timed`]'s without rebuilding any global event order (DESIGN.md §9,
+//!   §11). Traced runs execute on the sequential engine.
 //! - [`deadlock`]: structured capacity-deadlock diagnostics — the
 //!   [`DeadlockReport`] both timed engines assemble identically when a
 //!   simulation wedges, and the [`SimOutcome`] returned by their
@@ -27,10 +28,10 @@
 //!   measurement, and real-time verdicts.
 //! - [`parallel`]: a host-side batch runner for simulation sweeps (each
 //!   simulation stays deterministic; only the batch is threaded).
-//! - [`trace`]: deterministic event tracing for both timed engines —
-//!   firings, queue depths, token arrivals, and stall attribution — inert
-//!   with respect to simulation results and bitwise identical between the
-//!   sequential and parallel engines.
+//! - [`trace`]: deterministic event tracing — firings, queue depths,
+//!   token arrivals, and stall attribution — inert with respect to
+//!   simulation results; recorded by the sequential engine, which every
+//!   traced run uses.
 //! - [`chrome`]: Chrome trace-event JSON export (Perfetto-loadable) and a
 //!   dependency-free JSON well-formedness checker.
 //!
@@ -39,8 +40,8 @@
 //! [`bp_core::SyncMode::Optimistic`] — where shards speculate past the
 //! conservative window, checkpoint their state, and roll back when a
 //! cross-shard message lands in their past (DESIGN.md §17). Every
-//! artifact (report fingerprint, trace, metrics tape, deadlock report)
-//! stays bitwise identical to the sequential oracle.
+//! artifact (report fingerprint, metrics tape, deadlock report) stays
+//! bitwise identical to the sequential oracle.
 
 #![warn(missing_docs)]
 

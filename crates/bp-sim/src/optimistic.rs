@@ -15,18 +15,19 @@
 //! The data structures live here; the state capture/restore/rollback logic
 //! is implemented on `ShardSim` in [`crate::timed`], which owns the fields
 //! being snapshotted. Everything is engineered so the *committed* execution
-//! — journals, traces, metrics tapes, reports, fingerprints — is bitwise
-//! identical to the sequential oracle:
+//! — metrics tapes, reports, fingerprints, per-shard event counts — is
+//! bitwise identical to the sequential oracle:
 //!
 //! - Checkpoints capture the full mutable surface (event queue, wires,
 //!   credits, sequence counters, node queues and kernel state, stats,
-//!   trace/metrics recorders, journal truncation lengths), so a restored
-//!   shard re-executes exactly as it did the first time.
+//!   per-sink EOF lists, the metrics recorder, the event counter), so a
+//!   restored shard re-executes exactly as it did the first time. Traced
+//!   runs never get here: they execute on the sequential engine.
 //! - During *coast-forward* (re-execution of events that survived the
 //!   rollback, i.e. keys below the straggler), cross-shard sends that were
-//!   already delivered are suppressed — every local effect (journal,
-//!   trace, metrics, credit spend) re-records identically because those
-//!   recorders were restored with the checkpoint.
+//!   already delivered are suppressed — every local effect (metrics,
+//!   credit spend, event count) re-records identically because that state
+//!   was restored with the checkpoint.
 //! - Rollback/anti/checkpoint counters live in [`OptState`], *outside* the
 //!   checkpointed surface, so they survive rollbacks and surface the
 //!   schedule's optimism without perturbing any digested artifact.
@@ -219,10 +220,6 @@ pub(crate) struct Checkpoint {
     /// [`OptState::out_log`] length at capture (the coast-forward cursor
     /// restarts here).
     pub(crate) out_len: usize,
-    /// Journal truncation lengths (the journal itself stays in
-    /// `ShardSim::log`; restore truncates it back to these).
-    pub(crate) log_main_len: usize,
-    pub(crate) log_pushes_len: usize,
     /// Debug-build state digest at capture; restore re-digests and
     /// asserts equality, proving rollback restored the checkpoint
     /// byte-for-byte (on the digested surface).
@@ -237,7 +234,7 @@ pub(crate) struct Checkpoint {
     pub(crate) stats: Vec<crate::stats::PeStats>,
     pub(crate) node_busy: Vec<f64>,
     pub(crate) violations: u64,
-    pub(crate) sink_eof_times: Vec<f64>,
+    pub(crate) sink_eofs: Vec<Vec<f64>>,
     pub(crate) frame_start_times: Vec<f64>,
     pub(crate) custom_token_emissions: Vec<u64>,
     pub(crate) source_progress: Vec<u64>,
@@ -248,7 +245,7 @@ pub(crate) struct Checkpoint {
     pub(crate) wire: Vec<VecDeque<(u32, Item)>>,
     pub(crate) send_seq: Vec<u32>,
     pub(crate) credit_seq: Vec<u32>,
-    pub(crate) trace: Option<crate::trace::TraceRecorder>,
+    pub(crate) processed: u64,
     pub(crate) metrics: Option<bp_metrics::MetricsRecorder>,
     pub(crate) pe_stall: Vec<Option<crate::trace::StallCause>>,
     pub(crate) head_data: Vec<u64>,

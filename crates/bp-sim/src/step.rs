@@ -39,7 +39,7 @@ use crate::deadlock::SimOutcome;
 use crate::parallel::DisjointSlots;
 use crate::runtime::RtNode;
 use crate::stats::SimReport;
-use crate::timed::{assemble_outcome, assemble_tape, build_shared, ShardSim, Shared, SimConfig};
+use crate::timed::{build_shared, settle, ShardSim, Shared, SimConfig};
 use bp_core::graph::AppGraph;
 use bp_core::machine::Mapping;
 use bp_core::Result;
@@ -55,7 +55,6 @@ pub struct SteppableSim {
     shard_of_pe: Box<[usize]>,
     shared: Box<Shared>,
     initialized: bool,
-    processed: u64,
 }
 
 impl SteppableSim {
@@ -78,7 +77,7 @@ impl SteppableSim {
             let slots_ref: &'static DisjointSlots<RtNode> =
                 &*(slots.as_ref() as *const DisjointSlots<RtNode>);
             let sop_ref: &'static [usize] = &*(shard_of_pe.as_ref() as *const [usize]);
-            ShardSim::new(shared_ref, slots_ref, 0, sop_ref, false, None)
+            ShardSim::new(shared_ref, slots_ref, 0, sop_ref, None)
         };
         Ok(Self {
             sim,
@@ -86,7 +85,6 @@ impl SteppableSim {
             shard_of_pe,
             shared,
             initialized: false,
-            processed: 0,
         })
     }
 
@@ -100,9 +98,7 @@ impl SteppableSim {
             self.initialized = true;
             self.sim.init();
         }
-        let done = self.sim.run_budget(max_events);
-        self.processed += done as u64;
-        done
+        self.sim.run_budget(max_events)
     }
 
     /// True when the simulation has settled: it was started and no pending
@@ -123,7 +119,7 @@ impl SteppableSim {
 
     /// Total events processed across all [`step`](Self::step) calls.
     pub fn events_processed(&self) -> u64 {
-        self.processed
+        self.sim.processed()
     }
 
     /// Settle the run into its outcome and metrics tape. Call after
@@ -144,28 +140,7 @@ impl SteppableSim {
         let outcome = sim.into_outcome();
         let nodes = (*slots).into_inner();
         drop(shard_of_pe);
-        let tape = assemble_tape(
-            &shared,
-            outcome.metrics,
-            &outcome.sink_eof_times,
-            &outcome.frame_start_times,
-            outcome.now,
-        );
-        let settled = assemble_outcome(
-            &shared,
-            &nodes,
-            outcome.stats,
-            outcome.node_busy,
-            outcome.now,
-            outcome.violations,
-            outcome.sink_eof_times,
-            outcome.frame_start_times,
-            &outcome.custom_token_emissions,
-            outcome.budget_overruns,
-            outcome.node_max_queue,
-            &outcome.credits,
-        );
-        (settled, tape)
+        settle(&shared, &nodes, outcome)
     }
 
     /// [`finish`](Self::finish), unwrapped to a completed [`SimReport`]

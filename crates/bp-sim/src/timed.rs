@@ -494,7 +494,6 @@ pub(crate) struct Shared {
     pub(crate) machine: MachineSpec,
     pub(crate) frames: u32,
     pub(crate) required_rate_hz: f64,
-    pub(crate) num_sinks: usize,
     pub(crate) trace: Option<TraceOptions>,
     /// Resolved metrics policy (`None` = metrics off, hot loops run the
     /// unobserved `OBS = false` specialization).
@@ -706,11 +705,6 @@ pub(crate) fn build_shared(
     } else {
         None
     };
-    let num_sinks = node_roles
-        .iter()
-        .filter(|r| **r == NodeRole::Sink)
-        .count()
-        .max(1);
     let required_rate_hz = graph
         .sources()
         .iter()
@@ -739,7 +733,6 @@ pub(crate) fn build_shared(
         machine: config.machine,
         frames: config.frames,
         required_rate_hz,
-        num_sinks,
         trace: config.trace,
         metrics,
         compiled,
@@ -751,50 +744,16 @@ pub(crate) fn build_shared(
     Ok((nodes, shared))
 }
 
-/// What one processed event did, recorded so the parallel coordinator can
-/// replay the *global* heap dynamics (event pop order and sequence-number
-/// assignment) without re-simulating: how many events it pushed (records in
-/// [`ShardLog::pushes`]), and how many sink end-of-frames and frame
-/// starts it recorded (their timestamps all equal `t`).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LogEntry {
-    pub(crate) t: f64,
-    pub(crate) pushes: u32,
-    pub(crate) eofs: u32,
-    pub(crate) starts: u32,
-}
-
-/// One journaled event push, consumed sequentially by the parallel replay.
-/// `ord == 0` is a band-0 push (the replay heap assigns its insertion
-/// counter, reproducing the sequential engine's counter stream); a nonzero
-/// `ord` is a band-1 communication event carrying its creation-time ordinal.
-/// `target` is the shard whose journal the replayed event consumes — the
-/// *destination* shard for cross-shard communication.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PushRec {
-    pub(crate) t: f64,
-    pub(crate) ord: u64,
-    pub(crate) target: u32,
-}
-
-/// Per-shard event journal for deterministic merging (DESIGN.md §9, §11).
-#[derive(Default)]
-pub(crate) struct ShardLog {
-    /// One entry per owned startup const firing, in global `consts` order.
-    pub(crate) init: Vec<LogEntry>,
-    /// One entry per popped event, in shard pop order.
-    pub(crate) main: Vec<LogEntry>,
-    /// Every push, in push order, consumed sequentially by the replay.
-    pub(crate) pushes: Vec<PushRec>,
-}
-
 /// Owned results of one shard's run, extracted once the event loop is done
 /// so the node slots can be reclaimed.
 pub(crate) struct ShardOutcome {
     pub(crate) stats: Vec<PeStats>,
     pub(crate) node_busy: Vec<f64>,
     pub(crate) violations: u64,
-    pub(crate) sink_eof_times: Vec<f64>,
+    /// End-of-frame arrival times per sink node, in time order (empty for
+    /// every other node, and for sinks the shard does not own).
+    pub(crate) sink_eofs: Vec<Vec<f64>>,
+    /// Start time of each frame (global source 0 only).
     pub(crate) frame_start_times: Vec<f64>,
     pub(crate) custom_token_emissions: Vec<u64>,
     pub(crate) budget_overruns: Vec<u64>,
@@ -804,7 +763,9 @@ pub(crate) struct ShardOutcome {
     /// shard owns are meaningful.
     pub(crate) credits: Vec<i64>,
     pub(crate) now: f64,
-    pub(crate) log: Option<ShardLog>,
+    /// Events the shard's loop popped and handled (rolled-back events
+    /// excluded).
+    pub(crate) processed: u64,
     pub(crate) trace: Option<TraceRecorder>,
     /// Streaming metrics state, present only when [`SimConfig::metrics`]
     /// is set; merged across shards by the parallel engine.
@@ -837,7 +798,9 @@ pub(crate) struct ShardSim<'a> {
     stats: Vec<PeStats>,
     node_busy: Vec<f64>,
     violations: u64,
-    sink_eof_times: Vec<f64>,
+    /// End-of-frame arrival times per sink node. Only the sink's shard
+    /// appends, in pop order, so each list is already in time order.
+    sink_eofs: Vec<Vec<f64>>,
     /// Injection time of each frame's first sample (global source 0 only).
     frame_start_times: Vec<f64>,
     /// Custom-token emissions per node, for §II-C rate-bound checking.
@@ -872,7 +835,9 @@ pub(crate) struct ShardSim<'a> {
     /// the coordinator folds it into the global window bound so in-flight
     /// messages hold the window back exactly like queued events.
     min_out: f64,
-    log: Option<ShardLog>,
+    /// Events popped and handled so far (restored on rollback, so it
+    /// counts committed events only).
+    processed: u64,
     /// Event recorder, present only when [`SimConfig::trace`] is set.
     /// Recording is read-only with respect to simulation state, so its
     /// presence cannot perturb the schedule.
@@ -884,12 +849,6 @@ pub(crate) struct ShardSim<'a> {
     /// Last recorded stall cause per PE (`None` = running); transitions
     /// are traced only on change. Unused when tracing is off.
     pe_stall: Vec<Option<StallCause>>,
-    /// True while handling one loggable unit (a const firing or a popped
-    /// event); gates push recording so source seeds are not journaled.
-    in_entry: bool,
-    entry_push_base: usize,
-    entry_eof_base: usize,
-    entry_start_base: usize,
     /// Compiled backend only: bit `p` set when the node's input queue `p`
     /// currently has a window at its head. Maintained incrementally at
     /// every queue mutation; [`bp_codegen::head_masks`] is the oracle
@@ -931,16 +890,14 @@ pub(crate) struct ShardSim<'a> {
 
 impl<'a> ShardSim<'a> {
     /// `shard_of_pe` assigns every PE to a shard; this instance runs the
-    /// PEs of shard `shard`. Pass `record = true` to journal event-loop
-    /// dynamics for the parallel merge, and `links = Some(inboxes)` to
-    /// route cross-shard communication (sequential runs pass `None`; with
+    /// PEs of shard `shard`. Pass `links = Some(inboxes)` to route
+    /// cross-shard communication (sequential runs pass `None`; with
     /// one shard every channel is internal and the inboxes are never used).
     pub(crate) fn new(
         shared: &'a Shared,
         nodes: &'a DisjointSlots<RtNode>,
         shard: usize,
         shard_of_pe: &'a [usize],
-        record: bool,
         links: Option<&'a [Mutex<Vec<OutMsg>>]>,
     ) -> Self {
         let n = nodes.len();
@@ -963,7 +920,7 @@ impl<'a> ShardSim<'a> {
             stats: vec![PeStats::default(); num_pes],
             node_busy: vec![0.0; n],
             violations: 0,
-            sink_eof_times: Vec::new(),
+            sink_eofs: vec![Vec::new(); n],
             frame_start_times: Vec::new(),
             custom_token_emissions: vec![0; n],
             source_progress: vec![0; shared.tables.sources.len()],
@@ -976,17 +933,13 @@ impl<'a> ShardSim<'a> {
             credit_seq: vec![0; num_chans],
             links,
             min_out: f64::INFINITY,
-            log: record.then(ShardLog::default),
+            processed: 0,
             trace: shared.trace.map(TraceRecorder::new),
             metrics: shared
                 .metrics
                 .as_ref()
                 .map(|m| MetricsRecorder::new(m.interval_s, m.window, num_pes, n, num_chans)),
             pe_stall: vec![None; num_pes],
-            in_entry: false,
-            entry_push_base: 0,
-            entry_eof_base: 0,
-            entry_start_base: 0,
             head_data: vec![0; n],
             head_ctrl: vec![0; n],
             touched_buf: Vec::new(),
@@ -1057,21 +1010,9 @@ impl<'a> ShardSim<'a> {
         unsafe { self.nodes.get_mut(i) }
     }
 
-    /// Journal one push for the parallel replay (no-op when not recording
-    /// or outside a loggable entry, i.e. for source seeds).
-    #[inline]
-    fn journal_push(&mut self, t: f64, ord: u64, target: u32) {
-        if self.in_entry {
-            if let Some(log) = self.log.as_mut() {
-                log.pushes.push(PushRec { t, ord, target });
-            }
-        }
-    }
-
     /// Metrics hook: an event was created now (any shard, any target).
-    /// Attribution uses the *sender's* clock — the same discipline the
-    /// replay journal uses — so summing per-shard interval counts
-    /// reproduces the sequential recorder exactly.
+    /// Attribution uses the *sender's* clock, so summing per-shard
+    /// interval counts reproduces the sequential recorder exactly.
     #[inline]
     fn note_push(&mut self) {
         if let Some(m) = self.metrics.as_mut() {
@@ -1081,51 +1022,14 @@ impl<'a> ShardSim<'a> {
 
     /// Push a band-0 event (source emission / PE completion) on this shard.
     fn push_event(&mut self, t: f64, kind: EventKind) {
-        self.journal_push(t, 0, self.shard as u32);
         self.note_push();
         self.events.push(t, kind);
     }
 
     /// Push a band-1 communication event local to this shard.
     fn push_event_ord(&mut self, t: f64, ord: u64, kind: EventKind) {
-        self.journal_push(t, ord, self.shard as u32);
         self.note_push();
         self.events.push_ord(t, ord, kind);
-    }
-
-    fn begin_entry(&mut self) {
-        if let Some(log) = self.log.as_ref() {
-            self.in_entry = true;
-            self.entry_push_base = log.pushes.len();
-            self.entry_eof_base = self.sink_eof_times.len();
-            self.entry_start_base = self.frame_start_times.len();
-        }
-    }
-
-    fn end_entry(&mut self, t: f64, init: bool) {
-        // The recorder's per-entry counts mirror the journal's entries so
-        // the parallel merge can interleave shard streams in replay order.
-        if let Some(trace) = self.trace.as_mut() {
-            trace.end_entry(init);
-        }
-        let (eofs, starts) = (
-            (self.sink_eof_times.len() - self.entry_eof_base) as u32,
-            (self.frame_start_times.len() - self.entry_start_base) as u32,
-        );
-        if let Some(log) = self.log.as_mut() {
-            self.in_entry = false;
-            let entry = LogEntry {
-                t,
-                pushes: (log.pushes.len() - self.entry_push_base) as u32,
-                eofs,
-                starts,
-            };
-            if init {
-                log.init.push(entry);
-            } else {
-                log.main.push(entry);
-            }
-        }
     }
 
     /// Mark a node as possibly able to fire. Sources are paced externally
@@ -1163,7 +1067,6 @@ impl<'a> ShardSim<'a> {
             if !self.owns_node(node) {
                 continue;
             }
-            self.begin_entry();
             self.record_untriggered_begin(node, method);
             let emitted = self.node_mut(node).fire_untriggered(method);
             // The firing may change the node's private state (e.g. a
@@ -1172,7 +1075,6 @@ impl<'a> ShardSim<'a> {
             let touched = self.route_any(node, emitted);
             self.record_untriggered_end(node);
             self.dispatch_any(touched);
-            self.end_entry(0.0, true);
         }
         for s in 0..self.shared.tables.sources.len() {
             if self.owns_node(self.shared.tables.sources[s].node) {
@@ -1189,14 +1091,14 @@ impl<'a> ShardSim<'a> {
     pub(crate) fn run_window(&mut self, end: f64) -> f64 {
         if self.shared.compiled.is_some() {
             // Monomorphize the compiled loop on which observers are
-            // attached. `JRN` covers the trace recorder and the replay
-            // journal (entry bracketing, journaled pushes, trace records,
-            // exhaustive wakes); `OBS` additionally covers the metrics
-            // recorder. A metrics-only run takes `<true, false>`, so it
-            // pays the metrics hooks and nothing of the heavier trace
-            // machinery — that specialization is what keeps always-on
-            // metrics inside their ≤5% overhead budget (DESIGN.md §15).
-            if self.trace.is_some() || self.log.is_some() {
+            // attached. `TRC` covers the trace recorder (trace records,
+            // stall attribution, exhaustive wakes); `OBS` additionally
+            // covers the metrics recorder. A metrics-only run takes
+            // `<true, false>`, so it pays the metrics hooks and nothing of
+            // the heavier trace machinery — that specialization is what
+            // keeps always-on metrics inside their ≤5% overhead budget
+            // (DESIGN.md §15).
+            if self.trace.is_some() {
                 self.run_window_compiled::<true, true>(end)
             } else if self.metrics.is_some() {
                 self.run_window_compiled::<true, false>(end)
@@ -1222,25 +1124,24 @@ impl<'a> ShardSim<'a> {
             if let Some(m) = self.metrics.as_mut() {
                 m.event_popped(ev.t);
             }
-            self.begin_entry();
+            self.processed += 1;
             match ev.payload {
                 EventKind::SourceEmit { source } => self.handle_source_emit(source),
                 EventKind::PeDone { pe } => self.handle_pe_done(pe),
                 EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
                 EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
             }
-            self.end_entry(ev.t, false);
         }
         f64::INFINITY
     }
 
     /// Compiled event loop, monomorphized over observer presence. `OBS`
-    /// gates the metrics hooks; `JRN` gates the trace/journal machinery
-    /// (entry bracketing, journaled pushes, trace records, exhaustive
-    /// wakes). `JRN` implies `OBS` at every call site. All instantiations
-    /// process events identically; the flags only gate code that is
-    /// dynamically dead in the configuration that selects them.
-    fn run_window_compiled<const OBS: bool, const JRN: bool>(&mut self, end: f64) -> f64 {
+    /// gates the metrics hooks; `TRC` gates the trace recorder (trace
+    /// records, stall attribution, exhaustive wakes). `TRC` implies `OBS`
+    /// at every call site. All instantiations process events identically;
+    /// the flags only gate code that is dynamically dead in the
+    /// configuration that selects them.
+    fn run_window_compiled<const OBS: bool, const TRC: bool>(&mut self, end: f64) -> f64 {
         let ct = self
             .shared
             .compiled
@@ -1258,21 +1159,16 @@ impl<'a> ShardSim<'a> {
                     m.event_popped(ev.t);
                 }
             }
-            if JRN {
-                self.begin_entry();
-            }
+            self.processed += 1;
             match ev.payload {
                 EventKind::SourceEmit { source } => {
-                    self.handle_source_emit_compiled::<OBS, JRN>(source, ct);
+                    self.handle_source_emit_compiled::<OBS, TRC>(source, ct);
                 }
                 EventKind::PeDone { pe } => {
-                    self.handle_pe_done_compiled::<OBS, JRN>(pe, ct);
+                    self.handle_pe_done_compiled::<OBS, TRC>(pe, ct);
                 }
                 EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
                 EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-            if JRN {
-                self.end_entry(ev.t, false);
             }
         }
         f64::INFINITY
@@ -1289,7 +1185,7 @@ impl<'a> ShardSim<'a> {
     pub(crate) fn run_budget(&mut self, max_events: usize) -> usize {
         if self.shared.compiled.is_some() {
             // Same observer monomorphization as `run_window`.
-            if self.trace.is_some() || self.log.is_some() {
+            if self.trace.is_some() {
                 self.run_budget_compiled::<true, true>(max_events)
             } else if self.metrics.is_some() {
                 self.run_budget_compiled::<true, false>(max_events)
@@ -1326,14 +1222,13 @@ impl<'a> ShardSim<'a> {
             if let Some(m) = self.metrics.as_mut() {
                 m.event_popped(ev.t);
             }
-            self.begin_entry();
+            self.processed += 1;
             match ev.payload {
                 EventKind::SourceEmit { source } => self.handle_source_emit(source),
                 EventKind::PeDone { pe } => self.handle_pe_done(pe),
                 EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
                 EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
             }
-            self.end_entry(ev.t, false);
             done += 1;
         }
         done
@@ -1341,7 +1236,7 @@ impl<'a> ShardSim<'a> {
 
     /// Compiled bounded loop: `run_window_compiled`'s body minus the
     /// window bound, with an event counter.
-    fn run_budget_compiled<const OBS: bool, const JRN: bool>(
+    fn run_budget_compiled<const OBS: bool, const TRC: bool>(
         &mut self,
         max_events: usize,
     ) -> usize {
@@ -1360,21 +1255,16 @@ impl<'a> ShardSim<'a> {
                     m.event_popped(ev.t);
                 }
             }
-            if JRN {
-                self.begin_entry();
-            }
+            self.processed += 1;
             match ev.payload {
                 EventKind::SourceEmit { source } => {
-                    self.handle_source_emit_compiled::<OBS, JRN>(source, ct);
+                    self.handle_source_emit_compiled::<OBS, TRC>(source, ct);
                 }
                 EventKind::PeDone { pe } => {
-                    self.handle_pe_done_compiled::<OBS, JRN>(pe, ct);
+                    self.handle_pe_done_compiled::<OBS, TRC>(pe, ct);
                 }
                 EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
                 EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-            if JRN {
-                self.end_entry(ev.t, false);
             }
             done += 1;
         }
@@ -1385,6 +1275,12 @@ impl<'a> ShardSim<'a> {
     /// event; `0.0` before any event).
     pub(crate) fn now(&self) -> f64 {
         self.now
+    }
+
+    /// Events popped and handled so far (committed events only under
+    /// optimistic sync).
+    pub(crate) fn processed(&self) -> u64 {
+        self.processed
     }
 
     /// Timestamp of this shard's earliest pending event (`+inf` when idle),
@@ -1401,8 +1297,8 @@ impl<'a> ShardSim<'a> {
     }
 
     /// Move everything other shards sent us into the local event queue.
-    /// Not journaled: the *sender* journals cross-shard pushes (with this
-    /// shard as target), preserving the global push stream.
+    /// Not metered: the *sender* counted each push on its own clock when
+    /// it sent it.
     pub(crate) fn drain_inbox(&mut self) {
         let Some(links) = self.links else { return };
         let msgs = std::mem::take(&mut *links[self.shard].lock().unwrap());
@@ -1569,6 +1465,10 @@ impl<'a> ShardSim<'a> {
     /// collection retires it.
     pub(crate) fn opt_enable(&mut self) {
         debug_assert!(self.opt.is_none(), "optimistic mode enabled twice");
+        debug_assert!(
+            self.trace.is_none(),
+            "checkpoints do not capture the trace; traced runs are sequential"
+        );
         self.opt = Some(Box::new(OptState::new()));
         self.opt_checkpoint();
     }
@@ -1644,9 +1544,10 @@ impl<'a> ShardSim<'a> {
     /// Clone the full mutable surface into `ck`, recycling its buffers.
     /// Deliberately excluded: `min_out` (a coordinator accumulator whose
     /// undercount after rollback is only conservative), the routing/wave
-    /// scratch and `rw_memo` (empty respectively pure between events), the
-    /// journal-entry bases (no entry is open between events), and the Time
-    /// Warp state itself (logs and counters must survive rollbacks).
+    /// scratch and `rw_memo` (empty respectively pure between events), and
+    /// the Time Warp state itself (logs and counters must survive
+    /// rollbacks). No trace recorder is captured: a traced run never
+    /// reaches the parallel engine.
     fn capture_into(&self, ck: &mut Checkpoint) {
         ck.now = self.now;
         ck.rr.clone_from(&self.rr);
@@ -1660,7 +1561,7 @@ impl<'a> ShardSim<'a> {
         ck.stats.clone_from(&self.stats);
         ck.node_busy.clone_from(&self.node_busy);
         ck.violations = self.violations;
-        ck.sink_eof_times.clone_from(&self.sink_eof_times);
+        ck.sink_eofs.clone_from(&self.sink_eofs);
         ck.frame_start_times.clone_from(&self.frame_start_times);
         ck.custom_token_emissions
             .clone_from(&self.custom_token_emissions);
@@ -1678,9 +1579,7 @@ impl<'a> ShardSim<'a> {
         }
         ck.send_seq.clone_from(&self.send_seq);
         ck.credit_seq.clone_from(&self.credit_seq);
-        ck.log_main_len = self.log.as_ref().map_or(0, |l| l.main.len());
-        ck.log_pushes_len = self.log.as_ref().map_or(0, |l| l.pushes.len());
-        ck.trace.clone_from(&self.trace);
+        ck.processed = self.processed;
         ck.metrics.clone_from(&self.metrics);
         ck.pe_stall.clone_from(&self.pe_stall);
         ck.head_data.clone_from(&self.head_data);
@@ -1703,10 +1602,10 @@ impl<'a> ShardSim<'a> {
     }
 
     /// Write a checkpoint back over the live state (the inverse of
-    /// [`capture_into`](Self::capture_into)). The journal and its aligned
-    /// trace/metrics recorders are truncated/overwritten to the capture
-    /// point, so the rolled-back events vanish from every artifact exactly
-    /// as if they had never run.
+    /// [`capture_into`](Self::capture_into)). The event counter and the
+    /// metrics recorder are overwritten with their captured values, so the
+    /// rolled-back events vanish from every artifact exactly as if they
+    /// had never run.
     fn restore_from(&mut self, ck: &Checkpoint) {
         self.now = ck.now;
         self.rr.clone_from(&ck.rr);
@@ -1718,7 +1617,7 @@ impl<'a> ShardSim<'a> {
         self.stats.clone_from(&ck.stats);
         self.node_busy.clone_from(&ck.node_busy);
         self.violations = ck.violations;
-        self.sink_eof_times.clone_from(&ck.sink_eof_times);
+        self.sink_eofs.clone_from(&ck.sink_eofs);
         self.frame_start_times.clone_from(&ck.frame_start_times);
         self.custom_token_emissions
             .clone_from(&ck.custom_token_emissions);
@@ -1732,11 +1631,7 @@ impl<'a> ShardSim<'a> {
         }
         self.send_seq.clone_from(&ck.send_seq);
         self.credit_seq.clone_from(&ck.credit_seq);
-        if let Some(log) = self.log.as_mut() {
-            log.main.truncate(ck.log_main_len);
-            log.pushes.truncate(ck.log_pushes_len);
-        }
-        self.trace.clone_from(&ck.trace);
+        self.processed = ck.processed;
         self.metrics.clone_from(&ck.metrics);
         self.pe_stall.clone_from(&ck.pe_stall);
         self.head_data.clone_from(&ck.head_data);
@@ -1780,16 +1675,14 @@ impl<'a> ShardSim<'a> {
             mix(&mut h, p);
         }
         for &t in self
-            .sink_eof_times
+            .sink_eofs
             .iter()
+            .flatten()
             .chain(self.frame_start_times.iter())
         {
             mix(&mut h, t.to_bits());
         }
-        if let Some(log) = self.log.as_ref() {
-            mix(&mut h, log.main.len() as u64);
-            mix(&mut h, log.pushes.len() as u64);
-        }
+        mix(&mut h, self.processed);
         for pe in 0..self.shared.residents.len() {
             if self.shard_of_pe[pe] != self.shard {
                 continue;
@@ -1819,7 +1712,7 @@ impl<'a> ShardSim<'a> {
             let ck = opt.ckpts.pop_back().expect("len checked");
             opt.pool.push(ck);
         }
-        let undone = self.log.as_ref().map_or(0, |log| log.main.len());
+        let undone = self.processed;
         let (in_len, out_len, last_key) = {
             let ck = opt
                 .ckpts
@@ -1829,8 +1722,7 @@ impl<'a> ShardSim<'a> {
             (ck.in_len, ck.out_len, ck.last_key)
         };
         opt.counters.rollbacks += 1;
-        opt.counters.events_rolled_back +=
-            undone.saturating_sub(self.log.as_ref().map_or(0, |log| log.main.len())) as u64;
+        opt.counters.events_rolled_back += undone - self.processed;
         opt.out_cursor = out_len;
         opt.cur_key = last_key;
         opt.last_key = last_key;
@@ -1839,8 +1731,8 @@ impl<'a> ShardSim<'a> {
         // Re-inject everything received after the capture point, in drain
         // order — including anti-message cancellations, which must strip
         // positives the snapshot still holds before any re-sent copy is
-        // re-added. Not journaled, exactly like `drain_inbox` (the sender
-        // journals).
+        // re-added. Not metered, exactly like `drain_inbox` (the sender
+        // metered the push).
         for rec in &opt.in_log[in_len..] {
             match &rec.kind {
                 InKind::Arrival(item) => {
@@ -1876,9 +1768,9 @@ impl<'a> ShardSim<'a> {
 
     /// Truncate the (src_key-monotone) suffix of sends caused by events
     /// with key ≥ `k` and ship one anti-message per entry. Antis are not
-    /// journaled or metered: their positives' journal/metrics records were
-    /// rolled back with the checkpoint, so the committed record never
-    /// mentions either side. Anti timestamps equal their positives'
+    /// metered: their positives' metrics records were rolled back with the
+    /// checkpoint, so the committed record never mentions either side.
+    /// Anti timestamps equal their positives'
     /// (≥ `k` ≥ GVT), so `min_out` holds the window back for them exactly
     /// like for positives.
     fn cancel_sends_from(
@@ -1913,14 +1805,14 @@ impl<'a> ShardSim<'a> {
             stats: self.stats,
             node_busy: self.node_busy,
             violations: self.violations,
-            sink_eof_times: self.sink_eof_times,
+            sink_eofs: self.sink_eofs,
             frame_start_times: self.frame_start_times,
             custom_token_emissions: self.custom_token_emissions,
             budget_overruns: self.budget_overruns,
             node_max_queue: self.node_max_queue,
             credits: self.credits,
             now: self.now,
-            log: self.log,
+            processed: self.processed,
             trace: self.trace,
             metrics: self.metrics,
             sync: self.opt.as_deref().map(|o| o.counters).unwrap_or_default(),
@@ -2031,7 +1923,7 @@ impl<'a> ShardSim<'a> {
     /// Compiled [`handle_source_emit`](Self::handle_source_emit): routing
     /// and dispatch go straight to the monomorphized paths instead of
     /// re-testing the backend per call.
-    fn handle_source_emit_compiled<const OBS: bool, const JRN: bool>(
+    fn handle_source_emit_compiled<const OBS: bool, const TRC: bool>(
         &mut self,
         source: usize,
         ct: &CompiledTables,
@@ -2049,17 +1941,17 @@ impl<'a> ShardSim<'a> {
         if full {
             self.record_input_overrun();
         }
-        if JRN {
+        if TRC {
             self.record_untriggered_begin(s.node, s.method);
         }
         let emitted = self.node_mut(s.node).fire_untriggered(s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route_compiled::<OBS, JRN>(s.node, emitted, ct, &mut touched);
-        if JRN {
+        self.route_compiled::<OBS, TRC>(s.node, emitted, ct, &mut touched);
+        if TRC {
             self.record_untriggered_end(s.node);
         }
-        self.dispatch_wave_compiled::<OBS, JRN>(&mut touched, ct);
+        self.dispatch_wave_compiled::<OBS, TRC>(&mut touched, ct);
         self.touched_buf = touched;
 
         self.source_progress[source] += 1;
@@ -2067,21 +1959,17 @@ impl<'a> ShardSim<'a> {
         if self.source_progress[source] < total {
             let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
             let t_next = self.source_progress[source] as f64 * period;
-            if JRN {
-                self.push_event(t_next, EventKind::SourceEmit { source });
-            } else {
-                if OBS {
-                    self.note_push();
-                }
-                self.events.push(t_next, EventKind::SourceEmit { source });
+            if OBS {
+                self.note_push();
             }
+            self.events.push(t_next, EventKind::SourceEmit { source });
         }
     }
 
     /// Compiled [`handle_pe_done`](Self::handle_pe_done); the own-PE push
     /// stays unconditional (bypassing the wave mask) exactly like the
     /// interpreter's `touched.push(pe)`.
-    fn handle_pe_done_compiled<const OBS: bool, const JRN: bool>(
+    fn handle_pe_done_compiled<const OBS: bool, const TRC: bool>(
         &mut self,
         pe: usize,
         ct: &CompiledTables,
@@ -2103,7 +1991,7 @@ impl<'a> ShardSim<'a> {
                 );
             }
         }
-        if JRN {
+        if TRC {
             if let Some(trace) = self.trace.as_mut() {
                 trace.record(TraceEvent::FiringEnd {
                     t: self.now,
@@ -2114,9 +2002,9 @@ impl<'a> ShardSim<'a> {
         }
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route_compiled::<OBS, JRN>(inflight.node, inflight.emitted, ct, &mut touched);
+        self.route_compiled::<OBS, TRC>(inflight.node, inflight.emitted, ct, &mut touched);
         touched.push(pe);
-        self.dispatch_wave_compiled::<OBS, JRN>(&mut touched, ct);
+        self.dispatch_wave_compiled::<OBS, TRC>(&mut touched, ct);
         self.touched_buf = touched;
     }
 
@@ -2217,16 +2105,15 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Ship a communication event to `dst_shard`'s inbox, journaled and
-    /// metered exactly like a local push. Optimistic mode additionally
-    /// logs the send so a rollback can cancel it with an anti-message —
-    /// or, while coast-forwarding, *suppresses* the inbox push entirely:
-    /// the identical message was delivered before the rollback and
-    /// survived it, and the journal/metrics records (restored with the
-    /// checkpoint) are re-made by the hooks above, so suppression is the
-    /// one difference between first execution and replay.
+    /// Ship a communication event to `dst_shard`'s inbox, metered exactly
+    /// like a local push. Optimistic mode additionally logs the send so a
+    /// rollback can cancel it with an anti-message — or, while
+    /// coast-forwarding, *suppresses* the inbox push entirely: the
+    /// identical message was delivered before the rollback and survived
+    /// it, and the metrics record (restored with the checkpoint) is
+    /// re-made by the hook above, so suppression is the one difference
+    /// between first execution and replay.
     fn send_cross(&mut self, t: f64, ord: u64, chan: u32, dst_shard: usize, kind: MsgKind) {
-        self.journal_push(t, ord, dst_shard as u32);
         self.note_push();
         if let Some(opt) = self.opt.as_deref_mut() {
             if opt.coasting() {
@@ -2276,7 +2163,7 @@ impl<'a> ShardSim<'a> {
         let (dn, dp) = (c.dst, c.dst_port);
         if self.shared.node_roles[dn] == NodeRole::Sink {
             if let Item::Control(ControlToken::EndOfFrame) = item {
-                self.sink_eof_times.push(self.now);
+                self.sink_eofs[dn].push(self.now);
             }
         }
         let depth = {
@@ -2382,7 +2269,7 @@ impl<'a> ShardSim<'a> {
                 }
                 if self.shared.node_roles[dn] == NodeRole::Sink {
                     if let Item::Control(ControlToken::EndOfFrame) = item {
-                        self.sink_eof_times.push(self.now);
+                        self.sink_eofs[dn].push(self.now);
                     }
                 }
                 let depth = {
@@ -2660,7 +2547,7 @@ impl<'a> ShardSim<'a> {
     // Each method below mirrors its interpreted counterpart statement for
     // statement, with the interpreter's per-event lookups replaced by the
     // pre-resolved `CompiledTables`. The mirrored order of side effects
-    // (trace records, journal pushes, counter updates) is what keeps the
+    // (trace records, event pushes, counter updates) is what keeps the
     // fingerprints and traces bitwise identical; the differential suite
     // pins it.
 
@@ -2669,7 +2556,7 @@ impl<'a> ShardSim<'a> {
     /// scratch, head masks are maintained at each push, and the final
     /// destination of a fan-out receives the item by move instead of
     /// clone+drop.
-    fn route_compiled<const OBS: bool, const JRN: bool>(
+    fn route_compiled<const OBS: bool, const TRC: bool>(
         &mut self,
         from: usize,
         mut emitted: Vec<(usize, Item)>,
@@ -2703,7 +2590,7 @@ impl<'a> ShardSim<'a> {
                 let (dn, dp) = (d.dn as usize, d.dp as usize);
                 if d.sink {
                     if let Some(ControlToken::EndOfFrame) = tok {
-                        self.sink_eof_times.push(self.now);
+                        self.sink_eofs[dn].push(self.now);
                     }
                 }
                 let depth = {
@@ -2729,7 +2616,7 @@ impl<'a> ShardSim<'a> {
                         }
                     }
                 }
-                if JRN {
+                if TRC {
                     if let Some(trace) = self.trace.as_mut() {
                         trace.record(TraceEvent::QueueDepth {
                             t: self.now,
@@ -2764,7 +2651,7 @@ impl<'a> ShardSim<'a> {
 
     /// Compiled [`dispatch_wave`](Self::dispatch_wave) over a borrowed
     /// worklist (the caller recycles the vector).
-    fn dispatch_wave_compiled<const OBS: bool, const JRN: bool>(
+    fn dispatch_wave_compiled<const OBS: bool, const TRC: bool>(
         &mut self,
         worklist: &mut Vec<usize>,
         ct: &CompiledTables,
@@ -2779,13 +2666,13 @@ impl<'a> ShardSim<'a> {
         // such node is already `space_waiting` (marked by the scan that
         // first stalled it), so the filtered dispatcher re-scans exactly
         // the nodes whose stalls the exhaustive one would count.
-        let exhaustive = JRN && self.trace.is_some();
+        let exhaustive = TRC && self.trace.is_some();
         while let Some(pe) = worklist.pop() {
             self.wave_clear(pe);
             if self.pe_inflight[pe].is_some() {
                 continue;
             }
-            if let Some(node) = self.try_start_compiled::<OBS, JRN>(pe, ct) {
+            if let Some(node) = self.try_start_compiled::<OBS, TRC>(pe, ct) {
                 for i in 0..self.shared.upstream[node].len() {
                     let up = self.shared.upstream[node][i];
                     if exhaustive || self.space_waiting[up] {
@@ -2799,7 +2686,7 @@ impl<'a> ShardSim<'a> {
                         }
                     }
                 }
-            } else if JRN && self.trace.is_some() {
+            } else if TRC && self.trace.is_some() {
                 self.record_stall(pe);
             }
         }
@@ -2851,7 +2738,7 @@ impl<'a> ShardSim<'a> {
     /// plus the `ready()` call, firing runs the method's direct-threaded
     /// routine (pops, read-word accounting, and the behavior call fused),
     /// and the space/credit/cost lookups hit the precomputed tables.
-    fn try_start_compiled<const OBS: bool, const JRN: bool>(
+    fn try_start_compiled<const OBS: bool, const TRC: bool>(
         &mut self,
         pe: usize,
         ct: &CompiledTables,
@@ -2982,7 +2869,7 @@ impl<'a> ShardSim<'a> {
             });
             self.rr[pe] = idx;
             self.space_waiting[node] = false;
-            if JRN {
+            if TRC {
                 self.pe_stall[pe] = None;
                 if self.trace.is_some() {
                     let t = self.now;
@@ -3013,14 +2900,10 @@ impl<'a> ShardSim<'a> {
                 }
             }
             let t_done = self.now + dt;
-            if JRN {
-                self.push_event(t_done, EventKind::PeDone { pe });
-            } else {
-                if OBS {
-                    self.note_push();
-                }
-                self.events.push(t_done, EventKind::PeDone { pe });
+            if OBS {
+                self.note_push();
             }
+            self.events.push(t_done, EventKind::PeDone { pe });
             return Some(node);
         }
         None
@@ -3190,20 +3073,92 @@ fn starved_loop_cycle(
     None
 }
 
+/// Per-sink frame accounting: frame `f` completes when every sink has
+/// seen its `f`-th end-of-frame, at the latest of those arrivals. Returns
+/// the completion time of every completed frame, and the latency of every
+/// frame at least one sink finished: the latest `f`-th EOF among the sinks
+/// that have one, minus the frame's start. Each sink's list is in time
+/// order whichever shard wrote it, so the result does not depend on how
+/// events interleaved across shards.
+fn frame_times(shared: &Shared, sink_eofs: &[Vec<f64>], starts: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let sinks: Vec<&Vec<f64>> = sink_eofs
+        .iter()
+        .zip(&shared.node_roles)
+        .filter(|(_, role)| **role == NodeRole::Sink)
+        .map(|(eofs, _)| eofs)
+        .collect();
+    let completed = sinks.iter().map(|e| e.len()).min().unwrap_or(0);
+    let seen = sinks.iter().map(|e| e.len()).max().unwrap_or(0);
+    let last_eof = |f: usize| {
+        sinks
+            .iter()
+            .filter_map(|e| e.get(f))
+            .fold(0.0f64, |a, &b| a.max(b))
+    };
+    let completions = (0..completed).map(last_eof).collect();
+    let latencies = (0..seen)
+        .zip(starts)
+        .map(|(f, s)| last_eof(f) - s)
+        .collect();
+    (completions, latencies)
+}
+
+/// Settle a finished run — one shard's outcome, or the parallel engine's
+/// merge of all of them — into its [`SimOutcome`] and, when a metrics
+/// policy was set, its [`MetricsTape`].
+pub(crate) fn settle(
+    shared: &Shared,
+    nodes: &[RtNode],
+    outcome: ShardOutcome,
+) -> (SimOutcome, Option<MetricsTape>) {
+    let (completions, latencies) =
+        frame_times(shared, &outcome.sink_eofs, &outcome.frame_start_times);
+    let tape = outcome.metrics.map(|mut rec| {
+        let m = shared
+            .metrics
+            .as_ref()
+            .expect("a recorder exists only when a metrics policy was resolved");
+        // The tape rates completed frames only.
+        let done = completions.len().min(latencies.len());
+        let mut tape = MetricsTape::assemble(
+            &mut rec,
+            &m.contracts,
+            &completions,
+            &latencies[..done],
+            outcome.now,
+        );
+        tape.sync = outcome.sync;
+        tape
+    });
+    let settled = assemble_outcome(
+        shared,
+        nodes,
+        outcome.stats,
+        outcome.node_busy,
+        outcome.now,
+        outcome.violations,
+        &completions,
+        latencies,
+        &outcome.custom_token_emissions,
+        outcome.budget_overruns,
+        outcome.node_max_queue,
+        &outcome.credits,
+    );
+    (settled, tape)
+}
+
 /// Check the settled program for a capacity deadlock and build the final
 /// outcome — a completed [`SimReport`] or a structured [`DeadlockReport`].
-/// Used identically by the sequential and parallel simulators, with the
-/// latter feeding merged per-shard state.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_outcome(
+fn assemble_outcome(
     shared: &Shared,
     nodes: &[RtNode],
     stats: Vec<PeStats>,
     node_busy: Vec<f64>,
     now: f64,
     violations: u64,
-    sink_eof_times: Vec<f64>,
-    frame_start_times: Vec<f64>,
+    completions: &[f64],
+    frame_latencies: Vec<f64>,
     custom_token_emissions: &[u64],
     budget_overruns: Vec<u64>,
     node_max_queue: Vec<usize>,
@@ -3248,14 +3203,7 @@ pub(crate) fn assemble_outcome(
     }
     let residual: u64 = nodes.iter().map(|n| n.queued_items() as u64).sum();
 
-    let sinks = shared.num_sinks;
-    let frames_completed = (sink_eof_times.len() / sinks) as u32;
-    // One frame completes when all sinks have seen its end-of-frame;
-    // group the EOF arrivals per frame and rate the completions.
-    let completions: Vec<f64> = sink_eof_times
-        .chunks_exact(sinks)
-        .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
-        .collect();
+    let frames_completed = completions.len() as u32;
     let achieved = if completions.len() >= 2 && *completions.last().unwrap() > completions[0] {
         (completions.len() - 1) as f64 / (completions.last().unwrap() - completions[0])
     } else if now > 0.0 {
@@ -3264,13 +3212,6 @@ pub(crate) fn assemble_outcome(
         0.0
     };
     let met = violations == 0 && frames_completed >= shared.frames;
-    // Per-frame latency: first sample injection -> sink end-of-frame.
-    // With several sinks, take the last EOF of each frame.
-    let frame_latencies: Vec<f64> = sink_eof_times
-        .chunks(sinks)
-        .zip(frame_start_times.iter())
-        .map(|(eofs, start)| eofs.iter().cloned().fold(0.0f64, f64::max) - start)
-        .collect();
     // §II-C: verify every kernel stayed within its declared custom-token
     // rate bounds over the simulated interval.
     let mut token_rate_violations = Vec::new();
@@ -3306,42 +3247,6 @@ pub(crate) fn assemble_outcome(
             achieved_rate_hz: achieved,
         },
     })
-}
-
-/// Assemble the deterministic metrics tape from a (merged) recorder and
-/// the run's frame bookkeeping. Frame completion times and end-to-end
-/// latencies are derived exactly as in [`assemble_outcome`] (last sink
-/// EOF per frame), restricted to completed frames, so the tape agrees
-/// with the report and is identical across engines and thread counts.
-pub(crate) fn assemble_tape(
-    shared: &Shared,
-    rec: Option<MetricsRecorder>,
-    sink_eof_times: &[f64],
-    frame_start_times: &[f64],
-    now: f64,
-) -> Option<MetricsTape> {
-    let mut rec = rec?;
-    let m = shared
-        .metrics
-        .as_ref()
-        .expect("a recorder exists only when a metrics policy was resolved");
-    let sinks = shared.num_sinks;
-    let completions: Vec<f64> = sink_eof_times
-        .chunks_exact(sinks)
-        .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
-        .collect();
-    let latencies: Vec<f64> = completions
-        .iter()
-        .zip(frame_start_times.iter())
-        .map(|(c, s)| c - s)
-        .collect();
-    Some(MetricsTape::assemble(
-        &mut rec,
-        &m.contracts,
-        &completions,
-        &latencies,
-        now,
-    ))
 }
 
 /// The timing-accurate simulator. Construct with a graph, a kernel-to-PE
@@ -3421,15 +3326,15 @@ impl TimedSimulator {
         // documented at the top of this module.
         let shard_of_pe = vec![0usize; shared.residents.len()];
         let slots = DisjointSlots::new(nodes);
-        let outcome = {
-            let mut sim = ShardSim::new(&shared, &slots, 0, &shard_of_pe, false, None);
+        let mut outcome = {
+            let mut sim = ShardSim::new(&shared, &slots, 0, &shard_of_pe, None);
             sim.run();
             sim.into_outcome()
         };
         let nodes = slots.into_inner();
         // The single shard records in global pop order, so its buffer is
         // already the canonical trace.
-        let trace = outcome.trace.map(|rec| {
+        let trace = outcome.trace.take().map(|rec| {
             let (events, dropped) = rec.into_events();
             Trace {
                 meta: TraceMeta::from_parts(
@@ -3443,27 +3348,7 @@ impl TimedSimulator {
                 dropped,
             }
         });
-        let tape = assemble_tape(
-            &shared,
-            outcome.metrics,
-            &outcome.sink_eof_times,
-            &outcome.frame_start_times,
-            outcome.now,
-        );
-        let settled = assemble_outcome(
-            &shared,
-            &nodes,
-            outcome.stats,
-            outcome.node_busy,
-            outcome.now,
-            outcome.violations,
-            outcome.sink_eof_times,
-            outcome.frame_start_times,
-            &outcome.custom_token_emissions,
-            outcome.budget_overruns,
-            outcome.node_max_queue,
-            &outcome.credits,
-        );
+        let (settled, tape) = settle(&shared, &nodes, outcome);
         (settled, trace, tape)
     }
 }

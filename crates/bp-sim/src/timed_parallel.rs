@@ -33,32 +33,26 @@
 //! insertion counter, which filters the global insertion order, and band-1
 //! communication events carry creation-time `(stream, seq)` ordinals that
 //! are identical in both engines. Per-shard artifacts — PE stats, node
-//! firings, queue depths — are therefore already bitwise equal to the
-//! sequential run's, and are merged by taking each entry from its owning
-//! shard.
+//! firings, queue depths, each sink's end-of-frame times, source 0's frame
+//! starts — are therefore already bitwise equal to the sequential run's,
+//! and are merged by taking each entry from its owning shard. Nothing in
+//! the report depends on how events interleave *across* shards: frames
+//! are accounted per sink (frame `f` completes at the latest of every
+//! sink's `f`-th end-of-frame), so no global event order is rebuilt.
 //!
-//! Globally *ordered* artifacts (the interleaving of sink end-of-frame
-//! arrivals across shards, which feeds frame accounting) additionally need
-//! the sequential pop order across shards. Each worker journals, per
-//! processed event, the pushes it performed — time, band ordinal, and
-//! *target shard* (the destination for cross-shard communication) — and
-//! how many EOFs/frame-starts it recorded ([`crate::timed::ShardLog`]).
-//! The merge then *replays* the global heap symbolically: it seeds the
-//! startup pushes in program order, pops by `(time, band ordinal)`, and
-//! consumes the popped event's target-shard journal in order,
-//! reconstructing the exact global event order — and thus the exact
-//! `SimReport` — without touching any kernel state.
+//! The one artifact that is a global order is the trace. A run with
+//! [`SimConfig::trace`] set executes on the sequential engine, whose
+//! trace is already in canonical pop order; the parallel workers never
+//! trace.
 
 use crate::deadlock::SimOutcome;
-use crate::events::{EventQueue, HeapQueue};
 use crate::parallel::DisjointSlots;
 use crate::runtime::RtNode;
 use crate::stats::{PeStats, SimReport};
 use crate::timed::{
-    assemble_outcome, assemble_tape, build_shared, LogEntry, OutMsg, ShardLog, ShardOutcome,
-    ShardSim, Shared, SimConfig, TimedSimulator,
+    build_shared, settle, OutMsg, ShardOutcome, ShardSim, Shared, SimConfig, TimedSimulator,
 };
-use crate::trace::{Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
+use crate::trace::{Trace, TraceOptions};
 use bp_core::graph::AppGraph;
 use bp_core::machine::{Mapping, ShardPlan, SyncMode};
 use bp_core::Result;
@@ -88,7 +82,8 @@ const SPEC_WINDOWS: f64 = 2.0;
 /// executed on several workers once the comm model gave it lookahead).
 #[derive(Clone, Debug)]
 pub struct ParallelRunStats {
-    /// Worker threads the run used (1 = sequential fallback).
+    /// Worker threads the run used (1 = sequential fallback, which every
+    /// traced run takes).
     pub shards: usize,
     /// Conservative lookahead: the minimum latency over cross-shard
     /// channels (`+inf` when shards are fully independent — then a single
@@ -97,7 +92,8 @@ pub struct ParallelRunStats {
     /// Synchronization windows the coordinator released.
     pub windows: u64,
     /// Events processed by each shard's event loop (empty in the
-    /// sequential fallback).
+    /// sequential fallback). Under optimistic sync, rolled-back events are
+    /// not counted, so the sum equals the sequential engine's event count.
     pub shard_events: Vec<u64>,
     /// Optimistic-sync activity summed over shards (all zero under
     /// conservative sync and in the sequential fallback).
@@ -211,9 +207,15 @@ impl ParallelTimedSimulator {
         })
     }
 
-    /// Worker threads the run will actually use.
+    /// Worker threads the run will actually use. A traced run uses 1: a
+    /// trace is one global event order, which the sequential engine
+    /// records directly and the workers would have to rebuild.
     pub fn num_shards(&self) -> usize {
-        self.plan.num_shards
+        if self.shared.trace.is_some() {
+            1
+        } else {
+            self.plan.num_shards
+        }
     }
 
     /// Run the simulation to completion and report. A capacity deadlock
@@ -234,12 +236,10 @@ impl ParallelTimedSimulator {
         self.run_outcome_with_stats().0
     }
 
-    /// Run the simulation and also return the merged [`Trace`] when
-    /// [`SimConfig::trace`] was set (`None` otherwise). The per-shard
-    /// streams are interleaved by the journal replay into the global
-    /// `(t, ord)` pop order, so — as long as no ring dropped events — the
-    /// merged trace is bitwise identical to the sequential engine's at any
-    /// thread count.
+    /// Run the simulation and also return the [`Trace`] when
+    /// [`SimConfig::trace`] was set (`None` otherwise). A traced run
+    /// executes on the sequential engine, so the trace is the sequential
+    /// engine's, bit for bit, at any thread count.
     pub fn run_with_trace(self) -> Result<(SimReport, Option<Trace>)> {
         self.run_with_stats()
             .map(|(report, trace, _)| (report, trace))
@@ -262,15 +262,15 @@ impl ParallelTimedSimulator {
         Ok((outcome.into_report()?, tape))
     }
 
-    /// [`run_outcome`](Self::run_outcome), plus the merged trace (when
-    /// tracing was enabled) and the [`ParallelRunStats`].
+    /// [`run_outcome`](Self::run_outcome), plus the trace (when tracing
+    /// was enabled) and the [`ParallelRunStats`].
     pub fn run_outcome_with_stats(self) -> (SimOutcome, Option<Trace>, ParallelRunStats) {
         let (outcome, trace, _, stats) = self.run_outcome_with_artifacts();
         (outcome, trace, stats)
     }
 
-    /// Every artifact from one run: the outcome, the merged trace (when
-    /// tracing was enabled), the merged metrics tape (when a metrics
+    /// Every artifact from one run: the outcome, the trace (when tracing
+    /// was enabled), the merged metrics tape (when a metrics
     /// policy was set), and the schedule stats. One call, one simulation —
     /// the differential suites use this to compare every deterministic
     /// surface of a single run against the sequential oracle's.
@@ -285,8 +285,8 @@ impl ParallelTimedSimulator {
         self.run_outcome_with_artifacts()
     }
 
-    /// The full artifact set from one parallel run: outcome, merged
-    /// trace, merged metrics tape, and schedule stats.
+    /// The full artifact set from one parallel run: outcome, trace, merged
+    /// metrics tape, and schedule stats.
     fn run_outcome_with_artifacts(
         self,
     ) -> (
@@ -295,12 +295,13 @@ impl ParallelTimedSimulator {
         Option<MetricsTape>,
         ParallelRunStats,
     ) {
+        let sequential = self.num_shards() <= 1;
         let Self {
             nodes,
             shared,
             plan,
         } = self;
-        if plan.num_shards <= 1 {
+        if sequential {
             let (outcome, trace, tape) =
                 TimedSimulator::from_parts(nodes, shared).run_outcome_with_artifacts();
             let stats = ParallelRunStats {
@@ -371,7 +372,7 @@ impl ParallelTimedSimulator {
                             crate::affinity::pin_current_thread(shard);
                         }
                         let mut sim =
-                            ShardSim::new(shared, slots, shard, shard_of_pe, true, Some(inboxes));
+                            ShardSim::new(shared, slots, shard, shard_of_pe, Some(inboxes));
                         sim.init();
                         if optimistic {
                             sim.opt_enable();
@@ -483,18 +484,33 @@ impl ParallelTimedSimulator {
         for (pe, slot) in stats.iter_mut().enumerate() {
             *slot = outcomes[plan.shard_of_pe[pe]].stats[pe];
         }
-        let owner = |i: usize| &outcomes[plan.shard_of_pe[shared.pe_of_node[i]]];
-        let node_busy: Vec<f64> = (0..n).map(|i| owner(i).node_busy[i]).collect();
-        let custom_token_emissions: Vec<u64> =
-            (0..n).map(|i| owner(i).custom_token_emissions[i]).collect();
-        let budget_overruns: Vec<u64> = (0..n).map(|i| owner(i).budget_overruns[i]).collect();
-        let node_max_queue: Vec<usize> = (0..n).map(|i| owner(i).node_max_queue[i]).collect();
+        let owner_of = |i: usize| plan.shard_of_pe[shared.pe_of_node[i]];
+        let node_busy: Vec<f64> = (0..n).map(|i| outcomes[owner_of(i)].node_busy[i]).collect();
+        let custom_token_emissions: Vec<u64> = (0..n)
+            .map(|i| outcomes[owner_of(i)].custom_token_emissions[i])
+            .collect();
+        let budget_overruns: Vec<u64> = (0..n)
+            .map(|i| outcomes[owner_of(i)].budget_overruns[i])
+            .collect();
+        let node_max_queue: Vec<usize> = (0..n)
+            .map(|i| outcomes[owner_of(i)].node_max_queue[i])
+            .collect();
+        let sink_eofs: Vec<Vec<f64>> = (0..n)
+            .map(|i| std::mem::take(&mut outcomes[owner_of(i)].sink_eofs[i]))
+            .collect();
+        // Frame starts are source 0's, recorded by its shard.
+        let frame_start_times = shared
+            .tables
+            .sources
+            .first()
+            .map(|s| std::mem::take(&mut outcomes[owner_of(s.node)].frame_start_times))
+            .unwrap_or_default();
         // A channel's credits live with its *source* shard (the spender).
         let credits: Vec<i64> = shared
             .channels
             .iter()
             .enumerate()
-            .map(|(ci, c)| outcomes[plan.shard_of_pe[shared.pe_of_node[c.src]]].credits[ci])
+            .map(|(ci, c)| outcomes[owner_of(c.src)].credits[ci])
             .collect();
         let violations: u64 = outcomes.iter().map(|o| o.violations).sum();
         // The sequential loop leaves `now` at the time of the last popped
@@ -506,7 +522,7 @@ impl ParallelTimedSimulator {
         // counters sum, high-water marks max, first-violation times min,
         // per-PE busy cells are disjoint), so a shard-order fold yields
         // exactly the sequential run's recorder.
-        let merged_metrics: Option<MetricsRecorder> = {
+        let metrics: Option<MetricsRecorder> = {
             let mut recs = outcomes.iter_mut().map(|o| o.metrics.take());
             recs.next().flatten().map(|mut first| {
                 for mut rec in recs.flatten() {
@@ -517,78 +533,42 @@ impl ParallelTimedSimulator {
             })
         };
 
-        // Pull the recorders out so the journals (still inside `outcomes`)
-        // and the recorders can be walked together during the replay.
-        let mut recorders: Vec<Option<TraceRecorder>> =
-            outcomes.iter_mut().map(|o| o.trace.take()).collect();
-        let tracing = recorders.iter().any(Option::is_some);
-        let mut merged_events: Vec<TraceEvent> = Vec::new();
-        let (sink_eof_times, frame_start_times) = replay_merge(
-            &shared,
-            &plan,
-            &outcomes,
-            &mut recorders,
-            &mut merged_events,
-        );
-        let trace = tracing.then(|| Trace {
-            meta: TraceMeta::from_parts(
-                &nodes,
-                &shared.pe_of_node,
-                num_pes,
-                shared.machine.pe_clock_hz,
-                &shared.channels,
-            ),
-            events: merged_events,
-            dropped: recorders.iter().flatten().map(|r| r.dropped).sum(),
-        });
-
         // Sync-activity counters merge commutatively (plain sums), and —
         // unlike every simulated-time artifact — they are *expected* to
         // vary run to run: they describe the real-time schedule, not the
         // simulation. The tape keeps them out of its digest for the same
         // reason.
-        let sync_counters =
-            outcomes
-                .iter()
-                .fold(bp_metrics::SyncCounters::default(), |mut acc, o| {
-                    acc.merge(&o.sync);
-                    acc
-                });
+        let sync = outcomes
+            .iter()
+            .fold(bp_metrics::SyncCounters::default(), |mut acc, o| {
+                acc.merge(&o.sync);
+                acc
+            });
         let run_stats = ParallelRunStats {
             shards: plan.num_shards,
             lookahead_s,
             windows,
-            shard_events: outcomes
-                .iter()
-                .map(|o| o.log.as_ref().map_or(0, |l| l.main.len() as u64))
-                .collect(),
-            sync_counters,
+            shard_events: outcomes.iter().map(|o| o.processed).collect(),
+            sync_counters: sync,
         };
-        let mut tape = assemble_tape(
-            &shared,
-            merged_metrics,
-            &sink_eof_times,
-            &frame_start_times,
-            now,
-        );
-        if let Some(t) = tape.as_mut() {
-            t.sync = sync_counters;
-        }
-        let outcome = assemble_outcome(
-            &shared,
-            &nodes,
+        let merged = ShardOutcome {
             stats,
             node_busy,
-            now,
             violations,
-            sink_eof_times,
+            sink_eofs,
             frame_start_times,
-            &custom_token_emissions,
+            custom_token_emissions,
             budget_overruns,
             node_max_queue,
-            &credits,
-        );
-        (outcome, trace, tape, run_stats)
+            credits,
+            now,
+            processed: run_stats.shard_events.iter().sum(),
+            trace: None,
+            metrics,
+            sync,
+        };
+        let (outcome, tape) = settle(&shared, &nodes, merged);
+        (outcome, None, tape, run_stats)
     }
 }
 
@@ -606,132 +586,4 @@ pub fn profile_node_weights(
     let config = config.with_trace(TraceOptions::default());
     let (_, trace) = TimedSimulator::new(graph, mapping, config)?.run_with_trace()?;
     Ok(trace.expect("tracing was enabled").node_event_counts())
-}
-
-/// Reconstruct the global event pop order from the per-shard journals and
-/// emit the globally-ordered artifacts: sink EOF times, frame start times,
-/// and (when tracing) the merged trace-event stream, exactly as the
-/// sequential simulator would have recorded them. Each journal entry
-/// carries its shard's trace-event count for that entry, so consuming an
-/// entry also moves that many events from the shard's recorder into
-/// `merged` — interleaving the shard streams in global pop order.
-fn replay_merge(
-    shared: &Shared,
-    plan: &ShardPlan,
-    outcomes: &[ShardOutcome],
-    recorders: &mut [Option<TraceRecorder>],
-    merged: &mut Vec<TraceEvent>,
-) -> (Vec<f64>, Vec<f64>) {
-    let logs: Vec<&ShardLog> = outcomes
-        .iter()
-        .map(|o| o.log.as_ref().expect("parallel shards record journals"))
-        .collect();
-    // The replay heap mirrors the sequential engine's: push order assigns
-    // the global sequence numbers, pops come back in `(t, seq)` order.
-    let mut heap: HeapQueue<usize> = HeapQueue::new();
-    let mut push_idx = vec![0usize; logs.len()];
-    let mut eofs: Vec<f64> = Vec::new();
-    let mut starts: Vec<f64> = Vec::new();
-
-    fn consume(
-        sh: usize,
-        entry: LogEntry,
-        log: &ShardLog,
-        push_idx: &mut [usize],
-        heap: &mut HeapQueue<usize>,
-        eofs: &mut Vec<f64>,
-        starts: &mut Vec<f64>,
-    ) {
-        for _ in 0..entry.pushes {
-            let rec = log.pushes[push_idx[sh]];
-            push_idx[sh] += 1;
-            // Band-0 pushes take the replay heap's insertion counter —
-            // reproducing the sequential engine's counter stream, because
-            // the replay performs the pushes in the sequential order.
-            // Band-1 pushes carry their creation-time ordinal. The payload
-            // is the shard whose journal the event consumes when popped:
-            // the *destination* shard for cross-shard communication.
-            if rec.ord == 0 {
-                heap.push(rec.t, rec.target as usize);
-            } else {
-                heap.push_ord(rec.t, rec.ord, rec.target as usize);
-            }
-        }
-        for _ in 0..entry.eofs {
-            eofs.push(entry.t);
-        }
-        for _ in 0..entry.starts {
-            starts.push(entry.t);
-        }
-    }
-
-    // Startup: the sequential engine fires every const in program order
-    // (each may schedule events), then seeds one SourceEmit per source in
-    // program order. Each shard performed the same steps filtered to its
-    // nodes, so its journal entries are consumed as the global order visits
-    // its nodes.
-    let mut init_idx = vec![0usize; logs.len()];
-    for &(node, _) in &shared.tables.consts {
-        let sh = plan.shard_of_pe[shared.pe_of_node[node]];
-        let entry = logs[sh].init[init_idx[sh]];
-        if let Some(rec) = recorders[sh].as_mut() {
-            let count = rec.init_counts[init_idx[sh]];
-            rec.take(count, merged);
-        }
-        init_idx[sh] += 1;
-        consume(
-            sh,
-            entry,
-            logs[sh],
-            &mut push_idx,
-            &mut heap,
-            &mut eofs,
-            &mut starts,
-        );
-    }
-    for s in &shared.tables.sources {
-        heap.push(0.0, plan.shard_of_pe[shared.pe_of_node[s.node]]);
-    }
-
-    let mut main_idx = vec![0usize; logs.len()];
-    while let Some(ev) = heap.pop() {
-        let sh = ev.payload;
-        let entry = logs[sh].main[main_idx[sh]];
-        if let Some(rec) = recorders[sh].as_mut() {
-            let count = rec.main_counts[main_idx[sh]];
-            rec.take(count, merged);
-        }
-        main_idx[sh] += 1;
-        debug_assert_eq!(
-            entry.t.to_bits(),
-            ev.t.to_bits(),
-            "replay desync on shard {sh}: journal has t={}, heap popped t={} — \
-             shards were not independent",
-            entry.t,
-            ev.t
-        );
-        consume(
-            sh,
-            entry,
-            logs[sh],
-            &mut push_idx,
-            &mut heap,
-            &mut eofs,
-            &mut starts,
-        );
-    }
-    for (sh, log) in logs.iter().enumerate() {
-        debug_assert_eq!(
-            main_idx[sh],
-            log.main.len(),
-            "shard {sh} journal not fully replayed"
-        );
-        debug_assert_eq!(push_idx[sh], log.pushes.len());
-        debug_assert_eq!(
-            recorders[sh].as_ref().map_or(0, |r| r.remaining()),
-            0,
-            "shard {sh} trace not fully merged"
-        );
-    }
-    (eofs, starts)
 }

@@ -11,14 +11,10 @@
 //!
 //! **Determinism across engines.** The sequential engine emits trace
 //! events in global event-pop order, so its buffer *is* the canonical
-//! trace. Each parallel worker records its shard's events in shard-local
-//! pop order plus a per-journal-entry event count; the journal replay
-//! (`timed_parallel::replay_merge`) then interleaves the shard streams in
-//! the reconstructed global `(t, seq)` order, yielding a merged trace
-//! **bitwise identical** to the sequential one at any thread count — as
-//! long as no bounded ring dropped an event ([`Trace::dropped`] is the
-//! check; per-shard drop sets differ by sharding, so a wrapped ring
-//! forfeits cross-engine equality but nothing else).
+//! trace. A traced run on [`crate::ParallelTimedSimulator`] executes on
+//! the sequential engine, so its trace is **bitwise identical** to the
+//! sequential one at any thread count, dropped events included
+//! ([`Trace::dropped`]).
 //!
 //! On top of the raw stream, [`Trace`] derives the metrics the ROADMAP
 //! items need: per-node event counts (the profiling weights for
@@ -280,11 +276,10 @@ impl Fnv {
 /// Tracing configuration carried inside [`crate::SimConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOptions {
-    /// Ring capacity in events **per shard**. When a shard's recorder
-    /// fills, the oldest events are dropped (counted in
-    /// [`Trace::dropped`]); a trace with `dropped == 0` is complete and —
-    /// for the parallel engine — bitwise identical to the sequential
-    /// engine's at any thread count.
+    /// Ring capacity in events for the whole run (a traced run executes
+    /// on the sequential engine, so there is one ring). When it fills, the
+    /// oldest events are dropped (counted in [`Trace::dropped`]); a trace
+    /// with `dropped == 0` is complete.
     pub capacity: usize,
 }
 
@@ -298,32 +293,20 @@ impl Default for TraceOptions {
 }
 
 impl TraceOptions {
-    /// A ring bounded at `capacity` events per shard.
+    /// A ring bounded at `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
         Self { capacity }
     }
 }
 
-/// Bounded per-shard event ring, aligned with the journal-entry structure
-/// so the parallel merge can interleave shard streams in replay order.
-/// `Clone` because optimistic checkpoints snapshot the recorder wholesale
-/// (rollback must also rewind the trace).
-#[derive(Clone)]
+/// Bounded event ring: once `capacity` events are held, each new event
+/// drops the oldest.
 pub(crate) struct TraceRecorder {
     capacity: usize,
     events: VecDeque<TraceEvent>,
-    /// Events recorded per startup (const-firing) entry, in shard order.
-    pub(crate) init_counts: Vec<u32>,
-    /// Events recorded per popped-event entry, in shard pop order.
-    pub(crate) main_counts: Vec<u32>,
-    /// Events in the currently open entry.
-    cur: u32,
     /// Oldest events discarded after the ring filled.
     pub(crate) dropped: u64,
-    /// Trim cursors: first entry whose events may still be in the ring.
-    trim_init: usize,
-    trim_main: usize,
 }
 
 impl TraceRecorder {
@@ -331,67 +314,17 @@ impl TraceRecorder {
         Self {
             capacity: opts.capacity.max(1),
             events: VecDeque::new(),
-            init_counts: Vec::new(),
-            main_counts: Vec::new(),
-            cur: 0,
             dropped: 0,
-            trim_init: 0,
-            trim_main: 0,
         }
     }
 
-    /// Append one event, dropping the oldest if the ring is full. Dropping
-    /// also decrements the owning (oldest non-empty) entry count so the
-    /// per-entry alignment used by the parallel merge stays exact.
+    /// Append one event, dropping the oldest if the ring is full.
     pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
-            loop {
-                if self.trim_init < self.init_counts.len() {
-                    if self.init_counts[self.trim_init] == 0 {
-                        self.trim_init += 1;
-                        continue;
-                    }
-                    self.init_counts[self.trim_init] -= 1;
-                } else if self.trim_main < self.main_counts.len() {
-                    if self.main_counts[self.trim_main] == 0 {
-                        self.trim_main += 1;
-                        continue;
-                    }
-                    self.main_counts[self.trim_main] -= 1;
-                } else {
-                    debug_assert!(self.cur > 0, "dropped event belongs to no entry");
-                    self.cur -= 1;
-                }
-                break;
-            }
         }
         self.events.push_back(ev);
-        self.cur += 1;
-    }
-
-    /// Close the current entry (mirrors `ShardSim::end_entry`).
-    pub(crate) fn end_entry(&mut self, init: bool) {
-        if init {
-            self.init_counts.push(self.cur);
-        } else {
-            self.main_counts.push(self.cur);
-        }
-        self.cur = 0;
-    }
-
-    /// Pop the `n` oldest events (the parallel merge consumes entries in
-    /// replay order).
-    pub(crate) fn take(&mut self, n: u32, out: &mut Vec<TraceEvent>) {
-        for _ in 0..n {
-            out.push(self.events.pop_front().expect("trace/journal desync"));
-        }
-    }
-
-    /// Events still in the ring (0 after a complete merge).
-    pub(crate) fn remaining(&self) -> usize {
-        self.events.len()
     }
 
     /// Drain the whole ring in recording order (the sequential engine's
@@ -492,12 +425,9 @@ pub struct Trace {
     /// Index-to-name resolution tables.
     pub meta: TraceMeta,
     /// Events in global event-pop order (identical between the sequential
-    /// and parallel engines when `dropped == 0`).
+    /// and parallel engines).
     pub events: Vec<TraceEvent>,
-    /// Events discarded because a per-shard ring filled. Nonzero drops
-    /// void the cross-engine bitwise-equality guarantee (per-shard rings
-    /// trim different oldest events), but the retained stream is still
-    /// per-shard deterministic.
+    /// Oldest events discarded because the ring filled.
     pub dropped: u64,
 }
 
@@ -759,14 +689,9 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         let mut r = TraceRecorder::new(TraceOptions::with_capacity(2));
         r.record(fb(0.0, 0, 0, 1));
-        r.end_entry(true);
         r.record(fb(1.0, 1, 0, 1));
         r.record(fb(2.0, 2, 0, 1));
-        r.end_entry(false);
         assert_eq!(r.dropped, 1);
-        // The init entry's event was trimmed away.
-        assert_eq!(r.init_counts, vec![0]);
-        assert_eq!(r.main_counts, vec![2]);
         let (events, dropped) = r.into_events();
         assert_eq!(dropped, 1);
         assert_eq!(events, vec![fb(1.0, 1, 0, 1), fb(2.0, 2, 0, 1)]);

@@ -74,6 +74,8 @@ fn usage() -> ! {
          \x20                capacity bump) and exit 0; exit 1 if no deadlock\n\
          \x20  --threads N   shard the simulation over N worker threads; every\n\
          \x20                result is bitwise identical to the sequential run\n\
+         \x20                (with --trace the run is sequential: a trace is one\n\
+         \x20                global event order)\n\
          \x20  --sync        cross-shard synchronization: conservative (default;\n\
          \x20                lookahead windows) | optimistic (Time Warp: speculate\n\
          \x20                past the window, checkpoint, roll back on stragglers)\n\
@@ -339,8 +341,9 @@ fn main() -> ExitCode {
             }
         }
     };
-    // Both engines produce bitwise-identical reports, traces, and tapes;
-    // the parallel one additionally reports its synchronization activity.
+    // Both engines produce bitwise-identical reports, traces, and tapes
+    // (a traced run executes sequentially whatever the thread count); the
+    // parallel one additionally reports its synchronization activity.
     let (report, trace, tape, sync) = if args.threads > 1 {
         let sim = match ParallelTimedSimulator::new(
             &compiled.graph,

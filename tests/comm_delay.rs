@@ -14,11 +14,21 @@
 //! 3. **Lookahead actually parallelizes**: a connected app (`fig1b`) with
 //!    a positive minimum cross-shard latency executes on at least two
 //!    busy shards, observed via `ParallelRunStats::shard_events`.
+//! 4. **Events are conserved**: under a nonzero model the shards of a
+//!    parallel run process, between them, exactly the sequential engine's
+//!    events.
+//!
+//! Frame accounting is per sink: frame *f* completes when every sink has
+//! seen its *f*-th end-of-frame, even when one sink runs a frame ahead of
+//! another (`per_sink_frames_survive_branch_drift`).
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::{CommModel, Dim2, Item};
-use bp_sim::{ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator};
+use bp_core::{CommModel, ControlToken, Dim2, GraphBuilder, Item, Mapping, ShardPlan};
+use bp_sim::{
+    ParallelRunStats, ParallelTimedSimulator, SimConfig, SimReport, SteppableSim, TimedSimulator,
+    TraceEvent, TraceOptions,
+};
 
 const FRAMES: u32 = 2;
 
@@ -84,19 +94,31 @@ fn run_par(
     name: &str,
     comm: &CommModel,
     threads: usize,
-) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>) {
+) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>, ParallelRunStats) {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let out = ParallelTimedSimulator::new(
+    let (outcome, _, stats) = ParallelTimedSimulator::new(
         &compiled.graph,
         &compiled.mapping,
         config_with(comm),
         threads,
     )
     .expect("instantiate")
-    .run();
+    .run_outcome_with_stats();
     let items = app.sinks.iter().map(|(_, h)| h.items()).collect();
-    (out, items)
+    (outcome.into_report(), items, stats)
+}
+
+/// Events the sequential engine processes for `name` under `comm`.
+fn seq_events(name: &str, comm: &CommModel) -> u64 {
+    let app = build_example(name);
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let mut sim = SteppableSim::new(&compiled.graph, &compiled.mapping, config_with(comm))
+        .expect("instantiate");
+    while !sim.is_done() {
+        sim.step(1 << 16);
+    }
+    sim.events_processed()
 }
 
 /// FNV-1a over the raw bit patterns of the samples (same digest as
@@ -156,14 +178,31 @@ fn zero_model_reproduces_pinned_goldens() {
 /// identical to the sequential one: same fingerprint and same sink items
 /// on success, or the identical error string where an app deadlocks
 /// (none do by default now that feedback loops size their own back-edge
-/// capacities — the Err arm is kept for symmetry).
+/// capacities — the Err arm is kept for symmetry). Under the nonzero
+/// models at 2 and 4 threads the run really shards, and the shards'
+/// event counts sum to the sequential engine's: no event is lost or
+/// processed twice.
 #[test]
 fn parallel_matches_sequential_under_every_model() {
     for &name in EXAMPLE_APPS {
         for (mname, comm) in models() {
             let (seq, seq_items) = run_seq(name, &comm);
+            let want_events = (mname != "zero").then(|| seq_events(name, &comm));
             for threads in [1usize, 2, 4, 8] {
-                let (par, par_items) = run_par(name, &comm, threads);
+                let (par, par_items, stats) = run_par(name, &comm, threads);
+                if let (Some(want), 2 | 4) = (want_events, threads) {
+                    assert!(
+                        stats.shards >= 2,
+                        "{name} under {mname} at {threads} threads: ran on one shard"
+                    );
+                    assert_eq!(
+                        stats.shard_events.iter().sum::<u64>(),
+                        want,
+                        "{name} under {mname} at {threads} threads: shard events \
+                         {:?} do not sum to the sequential count",
+                        stats.shard_events
+                    );
+                }
                 match (&seq, &par) {
                     (Ok(s), Ok(p)) => assert_eq!(
                         s.fingerprint(),
@@ -333,4 +372,134 @@ fn deadlock_diagnostic_is_stable_under_delay() {
             "deadlock diagnostics diverged at {threads} threads under delay"
         );
     }
+}
+
+/// Frame accounting is per sink. Two branches leave one source: the fast
+/// one reaches its sink over one delayed hop, the slow one over three, and
+/// the hop latency exceeds the frame period, so the fast sink's EOF for
+/// frame *f*+1 lands before the slow sink's EOF for frame *f*. Frame *f*
+/// must still complete at the later of the two sinks' *f*-th EOFs — on the
+/// sequential engine and on the parallel one with the branches on
+/// different shards. The expected times come from the sequential trace,
+/// not from the engine's own bookkeeping.
+#[test]
+fn per_sink_frames_survive_branch_drift() {
+    const DRIFT_FRAMES: u32 = 6;
+    let dim = Dim2::new(4, 2);
+    let rate_hz = 1000.0;
+    let mut b = GraphBuilder::new();
+    let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, rate_hz);
+    let (fast_def, _) = bp_kernels::sink();
+    let fast = b.add("Fast", fast_def);
+    let s1 = b.add("Slow1", bp_kernels::scale(2.0, 0.0));
+    let s2 = b.add("Slow2", bp_kernels::scale(0.5, 0.0));
+    let (slow_def, _) = bp_kernels::sink();
+    let slow = b.add("Slow", slow_def);
+    b.connect(src, "out", fast, "in");
+    b.connect(src, "out", s1, "in");
+    b.connect(s1, "out", s2, "in");
+    b.connect(s2, "out", slow, "in");
+    let graph = b.build().expect("drift graph");
+    let mapping = Mapping::one_to_one(graph.node_count());
+    // One hop costs 1.5 frame periods.
+    let comm = CommModel::uniform(1.5 / rate_hz, 0.0);
+    let config = SimConfig::new(DRIFT_FRAMES).with_comm(comm);
+
+    // Expected per-sink EOF times and frame starts from a traced run.
+    let (_, trace) = TimedSimulator::new(
+        &graph,
+        &mapping,
+        config.clone().with_trace(TraceOptions::default()),
+    )
+    .expect("instantiate")
+    .run_with_trace()
+    .expect("runs");
+    let trace = trace.expect("traced");
+    let eofs = |sink: usize| -> Vec<f64> {
+        trace
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Token {
+                    t,
+                    node,
+                    token: ControlToken::EndOfFrame,
+                    ..
+                } if node as usize == sink => Some(t),
+                _ => None,
+            })
+            .collect()
+    };
+    let (fast_eofs, slow_eofs) = (eofs(fast.0), eofs(slow.0));
+    let starts: Vec<f64> = trace
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::FiringBegin { t, node, .. } if node as usize == src.0 => Some(t),
+            _ => None,
+        })
+        .step_by(dim.area() as usize)
+        .collect();
+    assert_eq!(fast_eofs.len(), DRIFT_FRAMES as usize);
+    assert_eq!(slow_eofs.len(), DRIFT_FRAMES as usize);
+    assert_eq!(starts.len(), DRIFT_FRAMES as usize);
+    assert!(
+        fast_eofs[1] < slow_eofs[0],
+        "test premise: the fast sink must run a frame ahead \
+         (fast EOFs {fast_eofs:?}, slow EOFs {slow_eofs:?})"
+    );
+    let completions: Vec<f64> = fast_eofs
+        .iter()
+        .zip(&slow_eofs)
+        .map(|(a, b)| a.max(*b))
+        .collect();
+    let latencies: Vec<f64> = completions
+        .iter()
+        .zip(&starts)
+        .map(|(c, s)| c - s)
+        .collect();
+    let span = completions.last().unwrap() - completions[0];
+    let achieved = (completions.len() - 1) as f64 / span;
+
+    let check = |what: &str, report: &SimReport| {
+        assert_eq!(report.frames_completed, DRIFT_FRAMES, "{what}: frames");
+        assert_eq!(
+            report
+                .frame_latencies
+                .iter()
+                .map(|l| l.to_bits())
+                .collect::<Vec<_>>(),
+            latencies.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+            "{what}: frame latencies {:?}, want {latencies:?}",
+            report.frame_latencies
+        );
+        assert_eq!(
+            report.verdict.achieved_rate_hz.to_bits(),
+            achieved.to_bits(),
+            "{what}: achieved rate {} Hz, want {achieved} Hz",
+            report.verdict.achieved_rate_hz
+        );
+    };
+    let seq = TimedSimulator::new(&graph, &mapping, config.clone())
+        .expect("instantiate")
+        .run()
+        .expect("runs");
+    check("sequential", &seq);
+    // Source and fast sink on shard 0, the slow branch on shard 1.
+    let mut shard_of_pe = vec![0usize; mapping.num_pes];
+    for node in [s1, s2, slow] {
+        shard_of_pe[mapping.pe_of_node[node.0]] = 1;
+    }
+    let plan = ShardPlan {
+        shard_of_pe,
+        num_shards: 2,
+        num_components: 2,
+    };
+    let (par, _, stats) = ParallelTimedSimulator::with_plan(&graph, &mapping, config, plan)
+        .expect("instantiate")
+        .run_with_stats()
+        .expect("runs");
+    assert_eq!(stats.shards, 2, "the branches must run on separate shards");
+    check("2 threads", &par);
+    assert_eq!(seq.fingerprint(), par.fingerprint());
 }

@@ -2,9 +2,10 @@
 //! the in-tree `bp_core::Rng64` (no external property-testing crate).
 //!
 //! Each case builds a random layered DAG of unary/binary arithmetic
-//! kernels, draws a random delay model, runs both timed engines with
-//! tracing, and checks invariants that must hold for *every* graph and
-//! *every* model:
+//! kernels, draws a random delay model, runs the sequential engine with
+//! tracing and the parallel engine without (a traced run would execute
+//! sequentially), and checks invariants that must hold for *every* graph
+//! and *every* model:
 //!
 //! - **FIFO per channel**: arrival times on each delayed channel are
 //!   non-decreasing in send order (the wire never reorders), and the
@@ -212,13 +213,15 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
         let compiled = compile(&graph, &opts).expect("compile random DAG");
         let config = SimConfig::new(FRAMES)
             .with_machine(opts.machine)
-            .with_comm(model.clone())
-            .with_trace(TraceOptions::default());
+            .with_comm(model.clone());
 
-        let seq: bp_core::Result<(SimReport, Option<Trace>)> =
-            TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-                .expect("instantiate")
-                .run_with_trace();
+        let seq: bp_core::Result<(SimReport, Option<Trace>)> = TimedSimulator::new(
+            &compiled.graph,
+            &compiled.mapping,
+            config.clone().with_trace(TraceOptions::default()),
+        )
+        .expect("instantiate")
+        .run_with_trace();
 
         match &seq {
             Ok((_, trace)) => {
@@ -247,18 +250,13 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
                 threads,
             )
             .expect("instantiate")
-            .run_with_trace();
+            .run();
             match (&seq, &par) {
-                (Ok((s, st)), Ok((p, pt))) => {
+                (Ok((s, _)), Ok(p)) => {
                     assert_eq!(
                         s.fingerprint(),
                         p.fingerprint(),
                         "case {case} at {threads} threads: fingerprint diverged (model {model:?})"
-                    );
-                    assert_eq!(
-                        st.as_ref().unwrap().events,
-                        pt.as_ref().unwrap().events,
-                        "case {case} at {threads} threads: traces diverged"
                     );
                 }
                 (Err(se), Err(pe)) => assert_eq!(

@@ -5,16 +5,16 @@
 //! with anti-messages — none of which may leave a trace in any result.
 //! Every test here pins the same contract: for every example app, comm
 //! model, thread count, shard plan, and fault-injection schedule, the
-//! report fingerprint, trace digest, metrics-tape digest/JSONL, and
-//! deadlock report are bitwise identical to the sequential oracle's.
+//! report fingerprint, metrics-tape digest/JSONL, and deadlock report are
+//! bitwise identical to the sequential oracle's. The runs are untraced: a
+//! traced run executes on the sequential engine (trace equality across
+//! thread counts is pinned in `tests/trace_determinism.rs`).
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::machine::ShardPlan;
 use bp_core::{CommModel, Dim2, MachineSpec, MetricsPolicy};
-use bp_sim::{
-    ParallelTimedSimulator, SimConfig, SimOutcome, StragglerPolicy, SyncMode, TraceOptions,
-};
+use bp_sim::{ParallelTimedSimulator, SimConfig, SimOutcome, StragglerPolicy, SyncMode};
 
 const FRAMES: u32 = 2;
 
@@ -65,7 +65,6 @@ fn base_config(comm: &CommModel) -> SimConfig {
     SimConfig::new(FRAMES)
         .with_machine(MachineSpec::default_eval())
         .with_comm(comm.clone())
-        .with_trace(TraceOptions::default())
         .with_metrics(MetricsPolicy::new())
 }
 
@@ -73,7 +72,6 @@ fn base_config(comm: &CommModel) -> SimConfig {
 #[derive(Debug, PartialEq)]
 struct Surfaces {
     fingerprint: u64,
-    trace_digest: u64,
     tape_digest: u64,
     tape_jsonl: String,
 }
@@ -89,14 +87,12 @@ fn run_surfaces(name: &str, config: SimConfig, threads: usize) -> (Surfaces, bp_
     let compiled = compile(&app.graph, &opts).expect("compile");
     let sim = ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
         .expect("instantiate");
-    let (outcome, trace, tape, stats) = sim.run_with_artifacts();
+    let (outcome, _, tape, stats) = sim.run_with_artifacts();
     let report = outcome.into_report().expect("run completes");
-    let trace = trace.expect("trace options set");
     let tape = tape.expect("metrics policy set");
     (
         Surfaces {
             fingerprint: report.fingerprint(),
-            trace_digest: trace.digest(),
             tape_digest: tape.digest(),
             tape_jsonl: tape.to_jsonl(),
         },
@@ -106,7 +102,7 @@ fn run_surfaces(name: &str, config: SimConfig, threads: usize) -> (Surfaces, bp_
 
 /// The tentpole differential: every example app under all three comm
 /// models, {conservative, optimistic} × {1, 2, 4, 8} worker threads —
-/// fingerprints, trace digests, and metrics tapes all bitwise identical
+/// fingerprints and metrics tapes all bitwise identical
 /// to the sequential oracle (the 1-thread fallback *is* the sequential
 /// engine).
 #[test]
@@ -189,11 +185,10 @@ fn skewed_plans_with_stragglers_stay_exact() {
                 plan.clone(),
             )
             .expect("skewed plan is valid under a delayed comm model");
-            let (outcome, trace, tape, _) = sim.run_with_artifacts();
+            let (outcome, _, tape, _) = sim.run_with_artifacts();
             let report = outcome.into_report().expect("run completes");
             let got = Surfaces {
                 fingerprint: report.fingerprint(),
-                trace_digest: trace.expect("trace").digest(),
                 tape_digest: tape.as_ref().expect("tape").digest(),
                 tape_jsonl: tape.expect("tape").to_jsonl(),
             };

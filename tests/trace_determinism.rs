@@ -6,10 +6,11 @@
 //!    simulation — the `SimReport` fingerprint with tracing on equals the
 //!    fingerprint with tracing off (and a deadlocking app produces the
 //!    identical error either way).
-//! 2. **The trace is engine-independent**: the parallel engine's merged
-//!    trace is *bitwise identical* to the sequential engine's at 1, 2, 4,
-//!    and 8 threads (journal-replay interleaving, DESIGN.md §10), with no
-//!    ring drops at the default capacity.
+//! 2. **The trace is engine-independent**: a traced run through the
+//!    parallel engine's API yields a trace *bitwise identical* to the
+//!    sequential engine's at 1, 2, 4, and 8 threads (a traced run executes
+//!    on the sequential engine, DESIGN.md §9), with no ring drops at the
+//!    default capacity.
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
@@ -105,8 +106,9 @@ fn tracing_is_inert_on_every_app() {
     }
 }
 
-/// The parallel engine's merged trace is bitwise identical to the
-/// sequential engine's, at every thread count. (Apps that deadlock return
+/// A trace requested through the parallel engine is bitwise identical to
+/// the sequential engine's, at every thread count — the API contract that
+/// lets callers trace without choosing an engine. (Apps that deadlock return
 /// an error from both engines; error equality is pinned in
 /// `tests/determinism.rs`.)
 #[test]
@@ -129,7 +131,7 @@ fn parallel_trace_is_bitwise_identical_to_sequential() {
             assert_eq!(par_trace.dropped, 0, "{name}: parallel ring wrapped");
             assert_eq!(
                 seq_trace.events, par_trace.events,
-                "{name} at {threads} threads: merged trace is not bitwise \
+                "{name} at {threads} threads: trace is not bitwise \
                  identical to the sequential trace"
             );
             assert_eq!(
