@@ -64,8 +64,8 @@ fn interpreted_fire(program: &mut Program, node: usize, item: &Item, arity: usiz
         n.queues[p].push_back(item.clone());
     }
     let action = n.plan().expect("fireable");
-    let (mut emitted, actual) = n.execute_with_cost(action);
-    black_box(actual);
+    let (mut emitted, res) = n.execute_with_cost(action);
+    black_box(res.actual_cycles);
     emitted.clear();
     n.recycle_out_buf(emitted);
 }

@@ -3,13 +3,14 @@
 //! Lowers an application graph into a [`ThreadedProgram`]: one
 //! [`ThreadedNode`] per graph node holding per-method *specialized firing
 //! routines* generated at app-compile time plus the precomputed bitmasks
-//! that turn the interpreter's linear trigger scan into a readiness mask
+//! that turn the scan planner's linear trigger scan into a readiness mask
 //! test.
 //!
-//! The lowering is the AOT analogue of `bp-sim`'s interpreted
+//! The lowering is the AOT analogue of `bp-sim`'s
 //! `compile_methods`/`RtNode::plan` pair and must stay behaviourally
-//! identical to it — the interpreted engine is the differential oracle
-//! (DESIGN.md §13). Concretely:
+//! identical to it — `RtNode::plan` (the scan planner, run by
+//! `Backend::Interpreted` on the same event loop) is the differential
+//! oracle (DESIGN.md §13). Concretely:
 //!
 //! - **Planning** ([`ThreadedNode::plan`]): each method carries a
 //!   `trigger_mask`/`data_mask` over its input ports. A node-level pair of
@@ -19,7 +20,7 @@
 //!   Token triggers and the forwarding scan still read the actual queue
 //!   fronts — token *identity* (not just presence) decides both — but only
 //!   after the mask pre-check has already matched. `KernelBehavior::ready`
-//!   is always consulted, exactly like the interpreter: kernels (join,
+//!   is always consulted, exactly like the scan planner: kernels (join,
 //!   histogram, FIR, conv) override it with dynamic state.
 //! - **Firing** ([`ThreadedMethod::fire`]): a boxed routine monomorphized
 //!   over method arity that fuses input pops, read-word accounting, and the
@@ -30,9 +31,9 @@
 //!
 //! What is deliberately *not* folded: anything mapping- or
 //! machine-dependent (channel latencies, capacities, slot indices into the
-//! engine's `DisjointSlots` node array). The engine layers those tables on
-//! top at simulator-build time, keeping this crate dependent on `bp-core`
-//! alone.
+//! engine's `DisjointSlots` node array). The engine builds those tables
+//! from the instance's own method tables at simulator-build time, whichever
+//! planner runs, keeping this crate dependent on `bp-core` alone.
 
 #![warn(missing_docs)]
 
@@ -77,11 +78,11 @@ pub struct FireArgs<'a> {
 /// the behavior, and reports words read plus actual cycles.
 pub type FireFn = Box<dyn Fn(&mut FireArgs<'_>) -> FireResult + Send + Sync>;
 
-/// One lowered method: the interpreter's `CompiledMethod` with trigger
+/// One lowered method: `bp-sim`'s `CompiledMethod` with trigger
 /// conditions folded into bitmasks and the firing path pre-specialized.
 pub struct ThreadedMethod {
     /// Trigger input ports in declaration order (duplicates preserved —
-    /// pops follow this order exactly, like the interpreter).
+    /// pops follow this order exactly, like the scan planner's firing).
     pub trigger_ports: Vec<usize>,
     /// Bit `p` set when port `p` appears in `trigger_ports`.
     pub trigger_mask: u64,
@@ -102,8 +103,8 @@ pub struct ThreadedMethod {
     pub fire: FireFn,
 }
 
-/// A planning decision from [`ThreadedNode::plan`] — mirrors the
-/// interpreter's `Action` enum field for field.
+/// A planning decision. Both planners return it: [`ThreadedNode::plan`]
+/// and `bp-sim`'s `RtNode::plan` (which re-exports it as `Action`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlannedAction {
     /// Fire method `method` on its matched triggers.
@@ -175,7 +176,7 @@ impl ThreadedNode {
     ///
     /// `head_data`/`head_ctrl` are the node's incrementally maintained head
     /// masks (see [`head_masks`]). Must return exactly what the
-    /// interpreter's `RtNode::plan` returns for the same queue and behavior
+    /// scan planner's `RtNode::plan` returns for the same queue and behavior
     /// state; the differential suite in `bp-sim` pins this.
     #[inline]
     pub fn plan(
@@ -290,7 +291,7 @@ fn make_fire(mi: usize, ports: Vec<usize>) -> FireFn {
     }
 }
 
-/// Lower one kernel spec. Mirrors the interpreter's `compile_methods` —
+/// Lower one kernel spec. Mirrors `bp-sim`'s `compile_methods` —
 /// any semantic change there must land here too (the differential suite
 /// will catch a divergence).
 pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
@@ -359,7 +360,8 @@ pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
 
 /// Lower every node of a graph into a [`ThreadedProgram`]. Fails only when
 /// a kernel exceeds [`MAX_PORTS`] input ports (the engine then falls back
-/// to — or the caller explicitly requests — the interpreted backend).
+/// to the scan planner, unless the caller explicitly requested the
+/// compiled backend).
 pub fn lower_graph(graph: &AppGraph) -> Result<ThreadedProgram> {
     let nodes = graph
         .nodes()
@@ -457,8 +459,15 @@ mod tests {
 
     #[test]
     fn rejects_over_wide_kernels() {
-        // Synthesize a spec with 65 inputs via the builder API if cheap;
-        // otherwise assert the constant is what the engine checks against.
-        assert_eq!(MAX_PORTS, 64);
+        // A round-robin join has one input per lane, and its token
+        // synchronizers trigger on all of them.
+        let grain = Dim2::new(1, 1);
+        let widest = bp_kernels::join_rr(MAX_PORTS, grain);
+        assert_eq!(lower_spec(&widest.spec).unwrap().inputs, MAX_PORTS);
+        let over = bp_kernels::join_rr(MAX_PORTS + 1, grain);
+        assert!(matches!(
+            lower_spec(&over.spec),
+            Err(BpError::Validation(_))
+        ));
     }
 }

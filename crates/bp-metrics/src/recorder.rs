@@ -1,9 +1,9 @@
 //! The streaming per-shard metrics recorder.
 //!
 //! One `MetricsRecorder` lives inside each shard simulator; the engine
-//! calls the hook methods from both the interpreted and compiled event
-//! loops (under the `OBS` monomorphization, so all of this compiles out
-//! when metrics are off). Counters are bucketed into fixed simulated-time
+//! calls the hook methods from its one event loop, whichever backend
+//! plans the firings (under the `OBS` monomorphization, so all of this
+//! compiles out when metrics are off). Counters are bucketed into fixed simulated-time
 //! intervals so that per-shard recorders can be merged *after* the run
 //! into the exact recorder a sequential run would have produced:
 //!

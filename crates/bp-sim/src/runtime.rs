@@ -19,27 +19,13 @@ use bp_core::token::{ControlToken, TokenKind};
 use bp_core::{BpError, Result};
 use std::collections::VecDeque;
 
-/// What a node can do next, given its input queue heads. Actions are plain
-/// indices into the node's compiled method table, so planning allocates
-/// nothing and actions are freely copyable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Action {
-    /// Fire a registered method, consuming one item from each trigger input
-    /// (the ports are in the method's [`CompiledMethod::triggers`]).
-    Fire {
-        /// Method index into the node's method/compiled tables.
-        method: usize,
-    },
-    /// Pass an unhandled control token through: consume it from every input
-    /// of a data method's trigger group and re-emit it once, in order, on
-    /// the method's outputs (§II-C).
-    Forward {
-        /// The token being forwarded.
-        token: ControlToken,
-        /// The data method whose trigger group forwards the token.
-        method: usize,
-    },
-}
+/// What a node can do next, given its input queue heads: fire method
+/// `method`, or forward `token` through data method `method`'s trigger
+/// group (§II-C). Actions are plain indices into the node's compiled
+/// method table, so planning allocates nothing and actions are freely
+/// copyable. Both planners — [`RtNode::plan`] and
+/// [`bp_codegen::ThreadedNode::plan`] — return this one type.
+pub use bp_codegen::PlannedAction as Action;
 
 /// A method's firing plan with every port name resolved to an index,
 /// computed once at instantiation.
@@ -212,25 +198,32 @@ impl RtNode {
         self.execute_with_cost(action).0
     }
 
-    /// Execute an action, returning the emitted items plus the behavior's
-    /// reported actual cycle count (for data-dependent-cost kernels; `None`
-    /// means the declared method cost applies). The returned vector is the
-    /// node's recycled emit buffer — hand it back via
-    /// [`recycle_out_buf`](Self::recycle_out_buf) after routing.
-    pub fn execute_with_cost(&mut self, action: Action) -> (Vec<(usize, Item)>, Option<u64>) {
+    /// Execute an action, returning the emitted items plus the words read
+    /// from the consumed inputs and the behavior's reported actual cycle
+    /// count (for data-dependent-cost kernels; `None` means the declared
+    /// method cost applies) — the same report a lowered fire routine
+    /// gives. The returned vector is the node's recycled emit buffer —
+    /// hand it back via [`recycle_out_buf`](Self::recycle_out_buf) after
+    /// routing.
+    pub fn execute_with_cost(
+        &mut self,
+        action: Action,
+    ) -> (Vec<(usize, Item)>, bp_codegen::FireResult) {
         self.firings += 1;
         match action {
             Action::Fire { method } => {
                 let mut consumed = std::mem::take(&mut self.consumed_buf);
                 let out_storage = std::mem::take(&mut self.out_buf);
                 consumed.clear();
+                let mut read_words = 0u64;
                 {
                     let RtNode {
                         compiled, queues, ..
                     } = self;
                     for &(p, _) in &compiled[method].triggers {
-                        consumed
-                            .push((p, queues[p].pop_front().expect("planned input disappeared")));
+                        let item = queues[p].pop_front().expect("planned input disappeared");
+                        read_words += item.words();
+                        consumed.push((p, item));
                     }
                 }
                 let RtNode {
@@ -241,10 +234,14 @@ impl RtNode {
                 let data = FireData::new(spec, &consumed);
                 let mut out = Emitter::with_buffer(spec, out_storage);
                 behavior.fire(method, &data, &mut out);
-                let parts = out.into_parts();
+                let (emitted, actual_cycles) = out.into_parts();
                 consumed.clear();
                 self.consumed_buf = consumed;
-                parts
+                let res = bp_codegen::FireResult {
+                    read_words,
+                    actual_cycles,
+                };
+                (emitted, res)
             }
             Action::Forward { token, method } => {
                 {
@@ -264,7 +261,11 @@ impl RtNode {
                         .iter()
                         .map(|&o| (o, Item::Control(token))),
                 );
-                (out, None)
+                let res = bp_codegen::FireResult {
+                    read_words: 0,
+                    actual_cycles: None,
+                };
+                (out, res)
             }
         }
     }
@@ -286,9 +287,9 @@ impl RtNode {
         out.into_items()
     }
 
-    /// Run a direct-threaded fire routine (compiled backend) against this
-    /// node's queues, behavior, and recycled buffers. The returned vector
-    /// is the node's emit buffer — hand it back via
+    /// Run a lowered fire routine against this node's queues, behavior,
+    /// and recycled buffers. The returned vector is the node's emit
+    /// buffer — hand it back via
     /// [`recycle_out_buf`](Self::recycle_out_buf) after routing, exactly
     /// like [`execute_with_cost`](Self::execute_with_cost).
     pub(crate) fn fire_threaded(
@@ -307,29 +308,6 @@ impl RtNode {
         });
         self.consumed_buf = consumed;
         (emitted, res)
-    }
-
-    /// Direct-threaded token forward (compiled backend): pop the trigger
-    /// group's tokens and emit the token on every output — the lowered
-    /// equivalent of [`Action::Forward`] under
-    /// [`execute_with_cost`](Self::execute_with_cost).
-    pub(crate) fn forward_threaded(
-        &mut self,
-        tm: &bp_codegen::ThreadedMethod,
-        token: ControlToken,
-    ) -> Vec<(usize, Item)> {
-        self.firings += 1;
-        for &p in &tm.trigger_ports {
-            let popped = self.queues[p]
-                .pop_front()
-                .expect("planned token disappeared");
-            debug_assert!(matches!(popped, Item::Control(t) if t == token));
-            drop(popped);
-        }
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        out.extend(tm.outputs.iter().map(|&o| (o, Item::Control(token))));
-        out
     }
 
     /// Return a drained emit buffer to this node for reuse by its next

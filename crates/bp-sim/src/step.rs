@@ -12,7 +12,8 @@
 //! Stepping is *chunk-invariant by construction*: every [`step`] call pops
 //! and handles exactly the events a full [`crate::TimedSimulator::run`]
 //! would have handled next, in the same `(t, ord)` order, with the same
-//! per-event code (`ShardSim::run_budget` reuses the event-loop bodies).
+//! per-event code (`ShardSim::run_budget` runs the one event loop, bounded
+//! by event count instead of time).
 //! The simulation owns its entire state — event queue, virtual clock, node
 //! state, recorders — so interleaving *other* simulations between two
 //! `step` calls cannot perturb it. Consequently the final [`SimReport`]

@@ -36,7 +36,9 @@
 //! runs one shard per worker over disjoint PE interaction regions (see
 //! DESIGN.md §9). Both paths execute the same per-event code, so their
 //! results can only differ if shard isolation is violated — which debug
-//! assertions on every node access check.
+//! assertions on every node access check. Every [`Backend`] runs the same
+//! loop too: the backend only chooses how `try_start` plans and fires a
+//! node.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
@@ -72,25 +74,29 @@ pub(crate) fn band1_ord(stream: u64, seq: u32) -> u64 {
     BAND1 | (stream << 32) | seq as u64
 }
 
-/// Execution backend for the timed engines.
+/// How the timed engines plan and fire a node.
 ///
-/// Both backends run the *same* discrete-event schedule and must produce
-/// bitwise-identical [`SimReport`]s (fingerprints included) and traces; the
-/// interpreted engine is the oracle, the compiled one the fast path
-/// (DESIGN.md §13). The compiled backend replaces the interpreter's
-/// per-firing linear trigger scan and string-keyed dispatch with
-/// `bp-codegen`'s direct-threaded routines: mask-based readiness planning,
-/// arity-specialized fire closures, and routing/space/credit tables
-/// devirtualized into pre-resolved slot indices at simulator-build time.
+/// Every backend runs the *same* table-driven event loop (routing,
+/// space, credit and cost tables resolved at simulator-build time) and
+/// must produce bitwise-identical [`SimReport`]s (fingerprints included)
+/// and traces (DESIGN.md §13). They differ only in the planner and the
+/// fire path: the interpreted backend scans each method's triggers
+/// ([`RtNode::plan`]) and fires through
+/// [`RtNode::execute_with_cost`]; the compiled backend tests
+/// `bp-codegen`'s readiness masks against incrementally maintained
+/// queue-head masks and fires the lowered arity-specialized routine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Pick automatically: compiled in release builds, interpreted when
-    /// debug assertions are on (so debug runs exercise the oracle).
+    /// debug assertions are on (so debug runs exercise the scan planner),
+    /// and interpreted for a graph that cannot be lowered.
     #[default]
     Auto,
-    /// The original interpreted engine (`RtNode::plan` + `execute_with_cost`).
+    /// Scan planner (`RtNode::plan` + `execute_with_cost`) on the shared
+    /// event loop.
     Interpreted,
-    /// Direct-threaded routines lowered by [`bp_codegen::lower_graph`].
+    /// Mask planner and fused fire routines lowered by
+    /// [`bp_codegen::lower_graph`], on the shared event loop.
     /// Construction fails if the graph cannot be lowered (a kernel with
     /// more than 64 input ports).
     Compiled,
@@ -369,9 +375,8 @@ pub(crate) struct Inflight {
     write_s: f64,
 }
 
-/// One pre-resolved routing destination for the compiled backend: the
-/// interpreter's per-push `delayed_chan`/`node_roles` lookups folded into
-/// the table at simulator-build time.
+/// One pre-resolved routing destination: the per-push delayed-channel and
+/// node-role lookups folded into a table at simulator-build time.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RouteDest {
     pub(crate) dn: u32,
@@ -383,9 +388,9 @@ pub(crate) struct RouteDest {
     pub(crate) sink: bool,
 }
 
-/// One pre-resolved downstream-space check for the compiled backend — the
-/// flattened form of the interpreter's `downstream_space` scan for one
-/// method, in identical order.
+/// One pre-resolved downstream-space check: a firing of a method needs
+/// room on every destination of every output it declares, checked in
+/// output-then-route order.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum SpaceCheck {
     /// Delayed edge: the sender-side credit count must be ≥ 2.
@@ -394,8 +399,7 @@ pub(crate) enum SpaceCheck {
         chan: u32,
     },
     /// Direct edge: the destination queue must have 2 items of headroom.
-    /// `chan` is the channel feeding that queue (`u32::MAX` if none), used
-    /// only to attribute metrics stall counts.
+    /// `chan` is the channel feeding that queue, used to attribute stalls.
     Queue {
         dn: u32,
         dp: u32,
@@ -404,43 +408,12 @@ pub(crate) enum SpaceCheck {
     },
 }
 
-/// Everything the compiled backend precomputes per graph + mapping +
-/// config: the lowered program (graph-only facts) plus the devirtualized
-/// routing/space/credit/cost tables (mapping- and machine-dependent).
-/// Read-only at run time and shared by all shards.
-pub(crate) struct CompiledTables {
-    /// The direct-threaded program: per-node masks and fire routines.
-    /// `Arc`-shared so a fleet host can instantiate many same-shape
-    /// simulators from one lowering (the program is read-only at run time).
-    pub(crate) program: Arc<bp_codegen::ThreadedProgram>,
-    /// `dests[node][out_port]` — fused destination records in route order.
-    pub(crate) dests: Vec<Vec<Vec<RouteDest>>>,
-    /// `space[node][method]` — flattened downstream-space checks.
-    pub(crate) space: Vec<Vec<Vec<SpaceCheck>>>,
-    /// `run_s[node][method]` — declared cost in seconds, precomputed by the
-    /// same `cycles as f64 / pe_clock_hz` the interpreter evaluates per
-    /// firing (identical operation ⇒ identical bits). Used only when the
-    /// behavior's actual cycles equal the declared cost; otherwise the
-    /// division runs live, exactly like the interpreter.
-    pub(crate) run_s: Vec<Vec<f64>>,
-    /// `credit_chans[node][method]` — delayed channels to credit after a
-    /// firing, in trigger order (duplicate trigger ports preserved).
-    pub(crate) credit_chans: Vec<Vec<Vec<u32>>>,
-    /// Declared seconds of a token forward (1 cycle), precomputed once.
-    pub(crate) forward_run_s: f64,
-    /// `method_base[node] + method` is the flat per-method slot used to
-    /// index the shard's read/write-cost memo cache.
-    pub(crate) method_base: Vec<u32>,
-    /// Total method slots across all nodes (the memo cache's length).
-    pub(crate) num_method_slots: usize,
-}
-
-/// Per-method memo of the last read/write word-cost conversions (compiled
-/// backend). Word counts are data-dependent but almost always repeat
-/// (window shapes are static per port), and IEEE-754 division is
-/// deterministic, so reusing the quotient computed for the *same* word
-/// count is bitwise identical to the interpreter's per-firing division —
-/// it just skips two `f64` divides on the hot path.
+/// Per-method memo of the last read/write word-cost conversions. Word
+/// counts are data-dependent but almost always repeat (window shapes are
+/// static per port), and IEEE-754 division is deterministic, so reusing
+/// the quotient computed for the *same* word count is bitwise identical
+/// to dividing per firing — it just skips two `f64` divides on the hot
+/// path.
 #[derive(Clone, Copy)]
 struct RwMemo {
     read_words: u64,
@@ -482,9 +455,6 @@ pub(crate) struct Shared {
     /// that port (the feeding channel's capacity; the plan default for
     /// unconnected ports), read on every space check.
     pub(crate) cap_into: Vec<Vec<usize>>,
-    /// Per node, the `(in_port, chan)` pairs fed by *delayed* channels —
-    /// the ports whose consumption must return credits.
-    pub(crate) delayed_in_ports: Vec<Vec<(usize, u32)>>,
     /// True when any channel is delayed; false short-circuits every
     /// comm-model branch so the zero model costs one load per routing fan-out.
     pub(crate) any_delayed: bool,
@@ -498,8 +468,32 @@ pub(crate) struct Shared {
     /// Resolved metrics policy (`None` = metrics off, hot loops run the
     /// unobserved `OBS = false` specialization).
     pub(crate) metrics: Option<ResolvedMetrics>,
-    /// Direct-threaded execution tables; `None` runs the interpreter.
-    pub(crate) compiled: Option<CompiledTables>,
+    /// The lowered program whose mask planner and fused fire routines the
+    /// event loop uses; `None` plans with [`RtNode::plan`] and fires with
+    /// [`RtNode::execute_with_cost`] (see [`Backend`]). `Arc`-shared so a
+    /// fleet host can instantiate many same-shape simulators from one
+    /// lowering (the program is read-only at run time).
+    pub(crate) program: Option<Arc<bp_codegen::ThreadedProgram>>,
+    /// `dests[node][out_port]` — fused destination records in route order.
+    pub(crate) dests: Vec<Vec<Vec<RouteDest>>>,
+    /// `space[node][method]` — flattened downstream-space checks.
+    pub(crate) space: Vec<Vec<Vec<SpaceCheck>>>,
+    /// `run_s[node][method]` — declared cost in seconds, precomputed by the
+    /// same `cycles as f64 / pe_clock_hz` a firing would evaluate
+    /// (identical operation ⇒ identical bits). Used only when the
+    /// behavior's actual cycles equal the declared cost; otherwise the
+    /// division runs live.
+    pub(crate) run_s: Vec<Vec<f64>>,
+    /// `credit_chans[node][method]` — delayed channels to credit after a
+    /// firing, in trigger order (duplicate trigger ports preserved).
+    pub(crate) credit_chans: Vec<Vec<Vec<u32>>>,
+    /// Declared seconds of a token forward (1 cycle), precomputed once.
+    pub(crate) forward_run_s: f64,
+    /// `method_base[node] + method` is the flat per-method slot used to
+    /// index the shard's read/write-cost memo cache.
+    pub(crate) method_base: Vec<u32>,
+    /// Total method slots across all nodes (the memo cache's length).
+    pub(crate) num_method_slots: usize,
     /// Parallel-engine synchronization protocol (see [`SimConfig::sync`]).
     pub(crate) sync: SyncMode,
     /// Optimistic-mode speculative checkpoint interval in events.
@@ -552,7 +546,6 @@ pub(crate) fn build_shared(
         .iter()
         .map(|rt| vec![plan.default; rt.queues.len()])
         .collect();
-    let mut delayed_in_ports = vec![Vec::new(); n];
     for (cid, c) in graph.channels() {
         let (src, dst) = (c.src.node.0, c.dst.node.0);
         let latency_s = config.comm.channel_latency_s(
@@ -575,9 +568,6 @@ pub(crate) fn build_shared(
         });
         chan_into[dst][dst_port] = Some(chan);
         cap_into[dst][dst_port] = cap;
-        if delayed {
-            delayed_in_ports[dst].push((dst_port, chan));
-        }
     }
     let any_delayed = channels.iter().any(|c| c.latency_s > 0.0);
     // Dispatch waves walk upstream over direct channels only; delayed
@@ -589,122 +579,100 @@ pub(crate) fn build_shared(
         }
     }
     let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
-    // Lower to the direct-threaded backend when requested (or in release
-    // builds under `Auto`). All tables mirror an interpreted scan exactly;
-    // see DESIGN.md §13 for the invariants.
-    let want_compiled = match config.backend {
+    // Lower for the mask planner when requested (or in release builds
+    // under `Auto`); see DESIGN.md §13.
+    let want_lowered = match config.backend {
         Backend::Interpreted => false,
         Backend::Compiled => true,
         Backend::Auto => !cfg!(debug_assertions),
     };
-    let compiled = if want_compiled {
-        let program = match config.lowered {
-            // A pre-lowered program (fleet cache hit) skips the lowering;
-            // the caller guarantees it came from a same-shape graph. The
-            // node count is the cheap structural check.
-            Some(program) => {
-                if program.nodes.len() != n {
-                    return Err(BpError::Simulation(format!(
-                        "pre-lowered program has {} nodes but graph has {n}",
-                        program.nodes.len()
-                    )));
-                }
-                Some(program)
-            }
-            None => match bp_codegen::lower_graph(graph) {
-                Ok(p) => Some(Arc::new(p)),
-                // `Auto` falls back to the interpreter on an unlowerable
-                // graph; an explicit request surfaces the error.
-                Err(e) if config.backend == Backend::Compiled => return Err(e),
-                Err(_) => None,
-            },
-        };
-        program.map(|program| {
-            let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
-                if !any_delayed {
-                    return None;
-                }
-                chan_into[dn][dp].filter(|&c| channels[c as usize].latency_s > 0.0)
-            };
-            let dests: Vec<Vec<Vec<RouteDest>>> = (0..n)
-                .map(|node| {
-                    tables.routes[node]
+    let program = if !want_lowered {
+        None
+    } else if let Some(program) = config.lowered {
+        // A pre-lowered program (fleet cache hit) skips the lowering; the
+        // caller guarantees it came from a same-shape graph. The node
+        // count is the cheap structural check.
+        if program.nodes.len() != n {
+            return Err(BpError::Simulation(format!(
+                "pre-lowered program has {} nodes but graph has {n}",
+                program.nodes.len()
+            )));
+        }
+        Some(program)
+    } else {
+        match bp_codegen::lower_graph(graph) {
+            Ok(p) => Some(Arc::new(p)),
+            // `Auto` falls back to the scan planner on an unlowerable
+            // graph; an explicit request surfaces the error.
+            Err(e) if config.backend == Backend::Compiled => return Err(e),
+            Err(_) => None,
+        }
+    };
+    // The routing, space, credit and cost tables come from the instance's
+    // own method tables, whichever planner runs.
+    let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
+        chan_into[dn][dp].filter(|&c| channels[c as usize].latency_s > 0.0)
+    };
+    let dests: Vec<Vec<Vec<RouteDest>>> = tables
+        .routes
+        .iter()
+        .map(|node_routes| {
+            node_routes
+                .iter()
+                .map(|port_routes| {
+                    port_routes
                         .iter()
-                        .map(|port_routes| {
-                            port_routes
-                                .iter()
-                                .map(|&(dn, dp)| RouteDest {
-                                    dn: dn as u32,
-                                    dp: dp as u32,
-                                    chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
-                                    sink: node_roles[dn] == NodeRole::Sink,
-                                })
-                                .collect()
+                        .map(|&(dn, dp)| RouteDest {
+                            dn: dn as u32,
+                            dp: dp as u32,
+                            chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
+                            sink: node_roles[dn] == NodeRole::Sink,
                         })
                         .collect()
                 })
-                .collect();
-            let clock = config.machine.pe_clock_hz;
-            let mut space = Vec::with_capacity(n);
-            let mut run_s = Vec::with_capacity(n);
-            let mut credit_chans = Vec::with_capacity(n);
-            for (node, tn) in program.nodes.iter().enumerate() {
-                let mut node_space = Vec::with_capacity(tn.methods.len());
-                let mut node_run_s = Vec::with_capacity(tn.methods.len());
-                let mut node_credits = Vec::with_capacity(tn.methods.len());
-                for tm in &tn.methods {
-                    let mut checks = Vec::new();
-                    for &port in &tm.outputs {
-                        for &(dn, dp) in &tables.routes[node][port] {
-                            checks.push(match delayed_chan(dn, dp) {
-                                Some(chan) => SpaceCheck::Credit { chan },
-                                None => SpaceCheck::Queue {
-                                    dn: dn as u32,
-                                    dp: dp as u32,
-                                    cap: cap_into[dn][dp] as u32,
-                                    chan: chan_into[dn][dp].unwrap_or(u32::MAX),
-                                },
-                            });
-                        }
-                    }
-                    node_space.push(checks);
-                    node_run_s.push(tm.cost_cycles as f64 / clock);
-                    node_credits.push(
-                        tm.trigger_ports
-                            .iter()
-                            .filter_map(|&p| {
-                                delayed_in_ports[node]
-                                    .iter()
-                                    .find(|&&(dp, _)| dp == p)
-                                    .map(|&(_, chan)| chan)
-                            })
-                            .collect(),
-                    );
-                }
-                space.push(node_space);
-                run_s.push(node_run_s);
-                credit_chans.push(node_credits);
-            }
-            let mut method_base = Vec::with_capacity(n);
-            let mut num_method_slots = 0usize;
-            for tn in &program.nodes {
-                method_base.push(num_method_slots as u32);
-                num_method_slots += tn.methods.len();
-            }
-            CompiledTables {
-                program,
-                dests,
-                space,
-                run_s,
-                credit_chans,
-                forward_run_s: 1.0 / clock,
-                method_base,
-                num_method_slots,
-            }
+                .collect()
         })
-    } else {
-        None
-    };
+        .collect();
+    let clock = config.machine.pe_clock_hz;
+    let mut space = Vec::with_capacity(n);
+    let mut run_s = Vec::with_capacity(n);
+    let mut credit_chans = Vec::with_capacity(n);
+    let mut method_base = Vec::with_capacity(n);
+    let mut num_method_slots = 0usize;
+    for (node, rt) in nodes.iter().enumerate() {
+        let mut node_space = Vec::with_capacity(rt.compiled.len());
+        let mut node_run_s = Vec::with_capacity(rt.compiled.len());
+        let mut node_credits = Vec::with_capacity(rt.compiled.len());
+        for cm in &rt.compiled {
+            let mut checks = Vec::new();
+            for &port in &cm.outputs {
+                for &(dn, dp) in &tables.routes[node][port] {
+                    checks.push(match delayed_chan(dn, dp) {
+                        Some(chan) => SpaceCheck::Credit { chan },
+                        None => SpaceCheck::Queue {
+                            dn: dn as u32,
+                            dp: dp as u32,
+                            cap: cap_into[dn][dp] as u32,
+                            chan: chan_into[dn][dp].expect("route destinations are channel-fed"),
+                        },
+                    });
+                }
+            }
+            node_space.push(checks);
+            node_run_s.push(cm.cost_cycles as f64 / clock);
+            node_credits.push(
+                cm.triggers
+                    .iter()
+                    .filter_map(|&(p, _)| delayed_chan(node, p))
+                    .collect(),
+            );
+        }
+        space.push(node_space);
+        run_s.push(node_run_s);
+        credit_chans.push(node_credits);
+        method_base.push(num_method_slots as u32);
+        num_method_slots += rt.compiled.len();
+    }
     let required_rate_hz = graph
         .sources()
         .iter()
@@ -725,7 +693,6 @@ pub(crate) fn build_shared(
         channels,
         chan_into,
         cap_into,
-        delayed_in_ports,
         any_delayed,
         pe_of_node: mapping.pe_of_node.clone(),
         residents: mapping.residents(),
@@ -735,7 +702,14 @@ pub(crate) fn build_shared(
         required_rate_hz,
         trace: config.trace,
         metrics,
-        compiled,
+        program,
+        dests,
+        space,
+        run_s,
+        credit_chans,
+        forward_run_s: 1.0 / clock,
+        method_base,
+        num_method_slots,
         sync: config.sync,
         checkpoint_interval: config.checkpoint_interval,
         straggler: config.straggler,
@@ -849,31 +823,30 @@ pub(crate) struct ShardSim<'a> {
     /// Last recorded stall cause per PE (`None` = running); transitions
     /// are traced only on change. Unused when tracing is off.
     pe_stall: Vec<Option<StallCause>>,
-    /// Compiled backend only: bit `p` set when the node's input queue `p`
-    /// currently has a window at its head. Maintained incrementally at
-    /// every queue mutation; [`bp_codegen::head_masks`] is the oracle
-    /// (checked before every compiled plan under debug assertions).
+    /// Mask planner only (`Shared::program` is `Some`): bit `p` set when
+    /// the node's input queue `p` currently has a window at its head.
+    /// Maintained incrementally at every queue mutation;
+    /// [`bp_codegen::head_masks`] is the oracle (checked before every mask
+    /// plan under debug assertions). Unused by the scan planner, which
+    /// also serves kernels whose port indices overflow a `u64`.
     head_data: Vec<u64>,
     /// As [`head_data`](Self::head_data), for control tokens.
     head_ctrl: Vec<u64>,
-    /// Compiled backend only: recycled routing scratch (the interpreter
-    /// allocates a fresh `touched` vector per routed firing).
-    touched_buf: Vec<usize>,
-    /// Compiled backend only: recycled dispatch worklist for the
-    /// single-PE waves of arrival/credit events.
+    /// Recycled dispatch worklist: the PEs a routed firing touched, or the
+    /// single PE an arrival/credit event wakes. Never in use twice at
+    /// once (dispatching does not route).
     wave_buf: Vec<usize>,
-    /// Compiled backend only: one bit per PE, set while the PE sits in the
-    /// current dispatch worklist — O(1) membership for the dedup the
-    /// interpreter does with `Vec::contains`. Insertions set the bit, pops
-    /// clear it, so the mask is all-zero between waves (the unconditional
-    /// own-PE push in `handle_pe_done` bypasses the mask; pops tolerate
-    /// the resulting duplicate exactly as the interpreter does).
+    /// One bit per PE, set while the PE sits in the current dispatch
+    /// worklist — O(1) membership for the worklist dedup. Insertions set
+    /// the bit, pops clear it, so the mask is all-zero between waves (the
+    /// unconditional own-PE push in `handle_pe_done` bypasses the mask;
+    /// a duplicate pop finds the PE busy and skips it).
     wave_mask: Vec<u64>,
-    /// Compiled backend only: per-method [`RwMemo`] slots (flat-indexed
-    /// via `CompiledTables::method_base`).
+    /// Per-method [`RwMemo`] slots (flat-indexed via
+    /// `Shared::method_base`).
     rw_memo: Vec<RwMemo>,
-    /// Compiled backend only: true when the node's last plan succeeded but
-    /// `space_ok` declined it, so it is waiting on downstream consumption.
+    /// True when the node's last plan succeeded but `space_ok` declined
+    /// it, so it is waiting on downstream consumption.
     /// The untraced dispatcher wakes upstream PEs only for flagged nodes —
     /// a firing's consumption is the *only* new information an upstream
     /// wake carries (data arrivals wake destinations through the routing
@@ -942,21 +915,16 @@ impl<'a> ShardSim<'a> {
             pe_stall: vec![None; num_pes],
             head_data: vec![0; n],
             head_ctrl: vec![0; n],
-            touched_buf: Vec::new(),
             wave_buf: Vec::new(),
             wave_mask: vec![0; num_pes.div_ceil(64)],
-            rw_memo: vec![
-                RwMemo::default();
-                shared.compiled.as_ref().map_or(0, |ct| ct.num_method_slots)
-            ],
+            rw_memo: vec![RwMemo::default(); shared.num_method_slots],
             space_waiting: vec![false; n],
             opt: None,
         }
     }
 
-    /// Wave-membership test-and-set for the compiled dispatcher's O(1)
-    /// worklist dedup (the interpreter uses `Vec::contains`; same
-    /// predicate). Returns `true` when `pe` was not yet a member.
+    /// Wave-membership test-and-set for the dispatcher's O(1) worklist
+    /// dedup. Returns `true` when `pe` was not yet a member.
     #[inline]
     fn wave_test_set(&mut self, pe: usize) -> bool {
         let (w, b) = (pe / 64, 1u64 << (pe % 64));
@@ -1072,9 +1040,12 @@ impl<'a> ShardSim<'a> {
             // The firing may change the node's private state (e.g. a
             // feedback primer becoming ready), so re-plan it.
             self.mark_dirty(node);
-            let touched = self.route_any(node, emitted);
+            let mut wave = std::mem::take(&mut self.wave_buf);
+            wave.clear();
+            self.route::<true, true>(node, emitted, &mut wave);
             self.record_untriggered_end(node);
-            self.dispatch_any(touched);
+            self.dispatch_wave::<true, true>(&mut wave);
+            self.wave_buf = wave;
         }
         for s in 0..self.shared.tables.sources.len() {
             if self.owns_node(self.shared.tables.sources[s].node) {
@@ -1089,89 +1060,7 @@ impl<'a> ShardSim<'a> {
     /// `end = +inf`; the parallel engine calls it per synchronization
     /// window with the coordinator's conservative bound.
     pub(crate) fn run_window(&mut self, end: f64) -> f64 {
-        if self.shared.compiled.is_some() {
-            // Monomorphize the compiled loop on which observers are
-            // attached. `TRC` covers the trace recorder (trace records,
-            // stall attribution, exhaustive wakes); `OBS` additionally
-            // covers the metrics recorder. A metrics-only run takes
-            // `<true, false>`, so it pays the metrics hooks and nothing of
-            // the heavier trace machinery — that specialization is what
-            // keeps always-on metrics inside their ≤5% overhead budget
-            // (DESIGN.md §15).
-            if self.trace.is_some() {
-                self.run_window_compiled::<true, true>(end)
-            } else if self.metrics.is_some() {
-                self.run_window_compiled::<true, false>(end)
-            } else {
-                self.run_window_compiled::<false, false>(end)
-            }
-        } else {
-            self.run_window_interp(end)
-        }
-    }
-
-    /// Interpreted event loop (the oracle path; see `run_window`).
-    fn run_window_interp(&mut self, end: f64) -> f64 {
-        while let Some(ev) = self.events.pop() {
-            if ev.t >= end {
-                // Past the window: put it back (re-insertion keeps its
-                // original `(t, seq)` key, so nothing is reordered).
-                self.events.push_ord(ev.t, ev.seq, ev.payload);
-                return ev.t;
-            }
-            self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
-            if let Some(m) = self.metrics.as_mut() {
-                m.event_popped(ev.t);
-            }
-            self.processed += 1;
-            match ev.payload {
-                EventKind::SourceEmit { source } => self.handle_source_emit(source),
-                EventKind::PeDone { pe } => self.handle_pe_done(pe),
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// Compiled event loop, monomorphized over observer presence. `OBS`
-    /// gates the metrics hooks; `TRC` gates the trace recorder (trace
-    /// records, stall attribution, exhaustive wakes). `TRC` implies `OBS`
-    /// at every call site. All instantiations process events identically;
-    /// the flags only gate code that is dynamically dead in the
-    /// configuration that selects them.
-    fn run_window_compiled<const OBS: bool, const TRC: bool>(&mut self, end: f64) -> f64 {
-        let ct = self
-            .shared
-            .compiled
-            .as_ref()
-            .expect("compiled loop without tables");
-        while let Some(ev) = self.events.pop() {
-            if ev.t >= end {
-                self.events.push_ord(ev.t, ev.seq, ev.payload);
-                return ev.t;
-            }
-            self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
-            if OBS {
-                if let Some(m) = self.metrics.as_mut() {
-                    m.event_popped(ev.t);
-                }
-            }
-            self.processed += 1;
-            match ev.payload {
-                EventKind::SourceEmit { source } => {
-                    self.handle_source_emit_compiled::<OBS, TRC>(source, ct);
-                }
-                EventKind::PeDone { pe } => {
-                    self.handle_pe_done_compiled::<OBS, TRC>(pe, ct);
-                }
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-        }
-        f64::INFINITY
+        self.run_events(end, usize::MAX).1
     }
 
     /// Process up to `max_events` pending events in `(t, ord)` order,
@@ -1183,18 +1072,7 @@ impl<'a> ShardSim<'a> {
     /// sequence with identical state transitions. This is the fleet
     /// host's round-based stepping entry point (DESIGN.md §16).
     pub(crate) fn run_budget(&mut self, max_events: usize) -> usize {
-        if self.shared.compiled.is_some() {
-            // Same observer monomorphization as `run_window`.
-            if self.trace.is_some() {
-                self.run_budget_compiled::<true, true>(max_events)
-            } else if self.metrics.is_some() {
-                self.run_budget_compiled::<true, false>(max_events)
-            } else {
-                self.run_budget_compiled::<false, false>(max_events)
-            }
-        } else {
-            self.run_budget_interp(max_events)
-        }
+        self.run_events(f64::INFINITY, max_events).0
     }
 
     /// Bounded speculation: like [`run_budget`], but refuses to pop any
@@ -1204,50 +1082,50 @@ impl<'a> ShardSim<'a> {
     /// ahead, and every late cross-shard message then triggers an
     /// arbitrarily deep rollback (the Time Warp anti-storm).
     pub(crate) fn run_speculate(&mut self, horizon: f64, max_events: usize) -> usize {
-        let mut done = 0;
-        while done < max_events && self.next_pending() < horizon {
-            done += self.run_budget(1);
-        }
-        done
+        self.run_events(horizon, max_events).0
     }
 
-    /// Interpreted bounded loop: the body is `run_window_interp`'s minus
-    /// the window bound, with an event counter.
-    fn run_budget_interp(&mut self, max_events: usize) -> usize {
-        let mut done = 0;
-        while done < max_events {
-            let Some(ev) = self.events.pop() else { break };
-            self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
-            if let Some(m) = self.metrics.as_mut() {
-                m.event_popped(ev.t);
-            }
-            self.processed += 1;
-            match ev.payload {
-                EventKind::SourceEmit { source } => self.handle_source_emit(source),
-                EventKind::PeDone { pe } => self.handle_pe_done(pe),
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-            done += 1;
+    /// The event loop, bounded by both time and count: handle pending
+    /// events in `(t, ord)` order until the next one is at or past `end`
+    /// or `max_events` were handled. Returns the number handled and the
+    /// timestamp of the event that stopped the loop (`+inf` when the queue
+    /// drained or the count ran out).
+    ///
+    /// Monomorphizes the loop on which observers are attached. `TRC`
+    /// covers the trace recorder (trace records, stall attribution,
+    /// exhaustive wakes); `OBS` additionally covers the metrics recorder.
+    /// A metrics-only run takes `<true, false>`, so it pays the metrics
+    /// hooks and nothing of the heavier trace machinery — that
+    /// specialization is what keeps always-on metrics inside their ≤5%
+    /// overhead budget (DESIGN.md §15).
+    fn run_events(&mut self, end: f64, max_events: usize) -> (usize, f64) {
+        if self.trace.is_some() {
+            self.event_loop::<true, true>(end, max_events)
+        } else if self.metrics.is_some() {
+            self.event_loop::<true, false>(end, max_events)
+        } else {
+            self.event_loop::<false, false>(end, max_events)
         }
-        done
     }
 
-    /// Compiled bounded loop: `run_window_compiled`'s body minus the
-    /// window bound, with an event counter.
-    fn run_budget_compiled<const OBS: bool, const TRC: bool>(
+    /// [`run_events`](Self::run_events) for one observer configuration.
+    /// `TRC` implies `OBS` at every call site. All instantiations process
+    /// events identically; the flags only gate code that is dynamically
+    /// dead in the configuration that selects them.
+    fn event_loop<const OBS: bool, const TRC: bool>(
         &mut self,
+        end: f64,
         max_events: usize,
-    ) -> usize {
-        let ct = self
-            .shared
-            .compiled
-            .as_ref()
-            .expect("compiled loop without tables");
+    ) -> (usize, f64) {
         let mut done = 0;
         while done < max_events {
             let Some(ev) = self.events.pop() else { break };
+            if ev.t >= end {
+                // Past the bound: put it back (re-insertion keeps its
+                // original `(t, seq)` key, so nothing is reordered).
+                self.events.push_ord(ev.t, ev.seq, ev.payload);
+                return (done, ev.t);
+            }
             self.now = ev.t;
             self.opt_note_pop(ev.t, ev.seq);
             if OBS {
@@ -1257,18 +1135,18 @@ impl<'a> ShardSim<'a> {
             }
             self.processed += 1;
             match ev.payload {
-                EventKind::SourceEmit { source } => {
-                    self.handle_source_emit_compiled::<OBS, TRC>(source, ct);
+                EventKind::SourceEmit { source } => self.handle_source_emit::<OBS, TRC>(source),
+                EventKind::PeDone { pe } => self.handle_pe_done::<OBS, TRC>(pe),
+                EventKind::ChannelArrival { chan } => {
+                    self.handle_channel_arrival::<OBS, TRC>(chan);
                 }
-                EventKind::PeDone { pe } => {
-                    self.handle_pe_done_compiled::<OBS, TRC>(pe, ct);
+                EventKind::CreditReturn { chan } => {
+                    self.handle_credit_return::<OBS, TRC>(chan);
                 }
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
             }
             done += 1;
         }
-        done
+        (done, f64::INFINITY)
     }
 
     /// The shard's current virtual time (timestamp of the last processed
@@ -1846,7 +1724,9 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    fn handle_source_emit(&mut self, source: usize) {
+    /// Inject one sample of `source` on its fixed schedule and schedule the
+    /// next injection.
+    fn handle_source_emit<const OBS: bool, const TRC: bool>(&mut self, source: usize) {
         let s = self.shared.tables.sources[source];
         if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
             self.frame_start_times.push(self.now);
@@ -1856,27 +1736,39 @@ impl<'a> ShardSim<'a> {
         // injection, however many destinations are saturated). Delayed
         // destinations are judged by the sender-side credit count — the
         // receiver queue may be remote.
-        let full = self.shared.tables.routes[s.node][0]
-            .iter()
-            .any(|&(dn, dp)| match self.delayed_chan(dn, dp) {
-                Some(chan) => self.credits[chan as usize] <= 0,
-                None => self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp],
-            });
+        let full = self.shared.dests[s.node][0].iter().any(|d| {
+            if d.chan != u32::MAX {
+                self.credits[d.chan as usize] <= 0
+            } else {
+                let (dn, dp) = (d.dn as usize, d.dp as usize);
+                self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp]
+            }
+        });
         if full {
             self.record_input_overrun();
         }
-        self.record_untriggered_begin(s.node, s.method);
+        if TRC {
+            self.record_untriggered_begin(s.node, s.method);
+        }
         let emitted = self.node_mut(s.node).fire_untriggered(s.method);
-        let touched = self.route_any(s.node, emitted);
-        self.record_untriggered_end(s.node);
-        self.dispatch_any(touched);
+        let mut wave = std::mem::take(&mut self.wave_buf);
+        wave.clear();
+        self.route::<OBS, TRC>(s.node, emitted, &mut wave);
+        if TRC {
+            self.record_untriggered_end(s.node);
+        }
+        self.dispatch_wave::<OBS, TRC>(&mut wave);
+        self.wave_buf = wave;
 
         self.source_progress[source] += 1;
         let total = s.frame.area() * self.shared.frames as u64;
         if self.source_progress[source] < total {
             let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
             let t_next = self.source_progress[source] as f64 * period;
-            self.push_event(t_next, EventKind::SourceEmit { source });
+            if OBS {
+                self.note_push();
+            }
+            self.events.push(t_next, EventKind::SourceEmit { source });
         }
     }
 
@@ -1892,88 +1784,10 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    fn handle_pe_done(&mut self, pe: usize) {
-        let inflight = self.pe_inflight[pe]
-            .take()
-            .expect("PeDone without inflight");
-        self.stats[pe].run += inflight.run_s;
-        self.stats[pe].read += inflight.read_s;
-        self.stats[pe].write += inflight.write_s;
-        self.node_busy[inflight.node] += inflight.run_s + inflight.read_s + inflight.write_s;
-        if let Some(m) = self.metrics.as_mut() {
-            m.firing_complete(
-                self.now,
-                pe,
-                inflight.node,
-                inflight.run_s + inflight.read_s + inflight.write_s,
-            );
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(TraceEvent::FiringEnd {
-                t: self.now,
-                node: inflight.node as u32,
-                pe: pe as u32,
-            });
-        }
-        let mut touched = self.route_any(inflight.node, inflight.emitted);
-        touched.push(pe);
-        self.dispatch_any(touched);
-    }
-
-    /// Compiled [`handle_source_emit`](Self::handle_source_emit): routing
-    /// and dispatch go straight to the monomorphized paths instead of
-    /// re-testing the backend per call.
-    fn handle_source_emit_compiled<const OBS: bool, const TRC: bool>(
-        &mut self,
-        source: usize,
-        ct: &CompiledTables,
-    ) {
-        let s = self.shared.tables.sources[source];
-        if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
-            self.frame_start_times.push(self.now);
-        }
-        let full = self.shared.tables.routes[s.node][0]
-            .iter()
-            .any(|&(dn, dp)| match self.delayed_chan(dn, dp) {
-                Some(chan) => self.credits[chan as usize] <= 0,
-                None => self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp],
-            });
-        if full {
-            self.record_input_overrun();
-        }
-        if TRC {
-            self.record_untriggered_begin(s.node, s.method);
-        }
-        let emitted = self.node_mut(s.node).fire_untriggered(s.method);
-        let mut touched = std::mem::take(&mut self.touched_buf);
-        touched.clear();
-        self.route_compiled::<OBS, TRC>(s.node, emitted, ct, &mut touched);
-        if TRC {
-            self.record_untriggered_end(s.node);
-        }
-        self.dispatch_wave_compiled::<OBS, TRC>(&mut touched, ct);
-        self.touched_buf = touched;
-
-        self.source_progress[source] += 1;
-        let total = s.frame.area() * self.shared.frames as u64;
-        if self.source_progress[source] < total {
-            let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
-            let t_next = self.source_progress[source] as f64 * period;
-            if OBS {
-                self.note_push();
-            }
-            self.events.push(t_next, EventKind::SourceEmit { source });
-        }
-    }
-
-    /// Compiled [`handle_pe_done`](Self::handle_pe_done); the own-PE push
-    /// stays unconditional (bypassing the wave mask) exactly like the
-    /// interpreter's `touched.push(pe)`.
-    fn handle_pe_done_compiled<const OBS: bool, const TRC: bool>(
-        &mut self,
-        pe: usize,
-        ct: &CompiledTables,
-    ) {
+    /// A PE finishes its firing: account its busy time, deliver the
+    /// emissions, and dispatch the touched PEs plus the PE itself. The
+    /// own-PE push is unconditional (it bypasses the wave mask).
+    fn handle_pe_done<const OBS: bool, const TRC: bool>(&mut self, pe: usize) {
         let inflight = self.pe_inflight[pe]
             .take()
             .expect("PeDone without inflight");
@@ -2000,57 +1814,26 @@ impl<'a> ShardSim<'a> {
                 });
             }
         }
-        let mut touched = std::mem::take(&mut self.touched_buf);
-        touched.clear();
-        self.route_compiled::<OBS, TRC>(inflight.node, inflight.emitted, ct, &mut touched);
-        touched.push(pe);
-        self.dispatch_wave_compiled::<OBS, TRC>(&mut touched, ct);
-        self.touched_buf = touched;
+        let mut wave = std::mem::take(&mut self.wave_buf);
+        wave.clear();
+        self.route::<OBS, TRC>(inflight.node, inflight.emitted, &mut wave);
+        wave.push(pe);
+        self.dispatch_wave::<OBS, TRC>(&mut wave);
+        self.wave_buf = wave;
     }
 
-    /// Route on whichever backend is active. The compiled path reuses the
-    /// recycled scratch vector; the interpreted path is untouched.
-    #[inline]
-    fn route_any(&mut self, from: usize, emitted: Vec<(usize, Item)>) -> Vec<usize> {
-        if let Some(ct) = self.shared.compiled.as_ref() {
-            let mut touched = std::mem::take(&mut self.touched_buf);
-            touched.clear();
-            self.route_compiled::<true, true>(from, emitted, ct, &mut touched);
-            touched
-        } else {
-            self.route_timed(from, emitted)
-        }
-    }
-
-    /// Dispatch a routed wave on whichever backend is active; the compiled
-    /// path hands the vector back to the routing scratch afterwards.
-    #[inline]
-    fn dispatch_any(&mut self, mut worklist: Vec<usize>) {
-        if let Some(ct) = self.shared.compiled.as_ref() {
-            self.dispatch_wave_compiled::<true, true>(&mut worklist, ct);
-            self.touched_buf = worklist;
-        } else {
-            self.dispatch_wave(worklist);
-        }
-    }
-
-    /// Dispatch a single-PE wave (arrival/credit events) on whichever
-    /// backend is active, allocation-free on the compiled path.
-    #[inline]
-    fn dispatch_pe(&mut self, pe: usize) {
-        if let Some(ct) = self.shared.compiled.as_ref() {
-            let mut wave = std::mem::take(&mut self.wave_buf);
-            wave.clear();
-            wave.push(pe);
-            self.dispatch_wave_compiled::<true, true>(&mut wave, ct);
-            self.wave_buf = wave;
-        } else {
-            self.dispatch_wave(vec![pe]);
-        }
+    /// Dispatch a one-PE wave: an arrival or a returned credit may have
+    /// given `pe` work.
+    fn wake<const OBS: bool, const TRC: bool>(&mut self, pe: usize) {
+        let mut wave = std::mem::take(&mut self.wave_buf);
+        wave.clear();
+        wave.push(pe);
+        self.dispatch_wave::<OBS, TRC>(&mut wave);
+        self.wave_buf = wave;
     }
 
     /// Recompute the head-mask bit of one input port after its queue head
-    /// changed (a firing popped it). Compiled backend only.
+    /// changed (a firing popped it). Mask planner only.
     #[inline]
     fn refresh_head(&mut self, node: usize, port: usize) {
         let bit = 1u64 << port;
@@ -2061,16 +1844,6 @@ impl<'a> ShardSim<'a> {
             Some(Item::Control(_)) => self.head_ctrl[node] |= bit,
             None => {}
         }
-    }
-
-    /// The delayed channel into `(dn, dp)`, if any. One load on the
-    /// zero-model fast path.
-    #[inline]
-    fn delayed_chan(&self, dn: usize, dp: usize) -> Option<u32> {
-        if !self.shared.any_delayed {
-            return None;
-        }
-        self.shared.chan_into[dn][dp].filter(|&c| self.shared.channels[c as usize].latency_s > 0.0)
     }
 
     /// Launch `item` onto delayed channel `chan`: spend a credit, serialize
@@ -2155,7 +1928,7 @@ impl<'a> ShardSim<'a> {
 
     /// An in-flight item lands: pop it off the wire into the destination
     /// queue, then dispatch the destination PE.
-    fn handle_channel_arrival(&mut self, chan: u32) {
+    fn handle_channel_arrival<const OBS: bool, const TRC: bool>(&mut self, chan: u32) {
         let c = self.shared.channels[chan as usize];
         let (_seq, item) = self.wire[chan as usize]
             .pop_front()
@@ -2171,7 +1944,7 @@ impl<'a> ShardSim<'a> {
             queue.push_back(item.clone());
             queue.len()
         };
-        if depth == 1 && self.shared.compiled.is_some() {
+        if depth == 1 && self.shared.program.is_some() {
             // The item became the queue head; update the planning mask.
             let bit = 1u64 << dp;
             if matches!(item, Item::Window(_)) {
@@ -2183,57 +1956,48 @@ impl<'a> ShardSim<'a> {
         if depth > self.node_max_queue[dn] {
             self.node_max_queue[dn] = depth;
         }
-        if let Some(m) = self.metrics.as_mut() {
-            m.chan_depth(chan as usize, depth);
+        if OBS {
+            if let Some(m) = self.metrics.as_mut() {
+                m.chan_depth(chan as usize, depth);
+            }
         }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(TraceEvent::CommArrival { t: self.now, chan });
-            trace.record(TraceEvent::QueueDepth {
-                t: self.now,
-                node: dn as u32,
-                port: dp as u32,
-                depth: depth as u32,
-            });
-            if let Item::Control(token) = &item {
-                trace.record(TraceEvent::Token {
+        if TRC {
+            if let Some(trace) = self.trace.as_mut() {
+                trace.record(TraceEvent::CommArrival { t: self.now, chan });
+                trace.record(TraceEvent::QueueDepth {
                     t: self.now,
                     node: dn as u32,
                     port: dp as u32,
-                    token: *token,
+                    depth: depth as u32,
                 });
+                if let Item::Control(token) = &item {
+                    trace.record(TraceEvent::Token {
+                        t: self.now,
+                        node: dn as u32,
+                        port: dp as u32,
+                        token: *token,
+                    });
+                }
             }
         }
         self.mark_dirty(dn);
-        self.dispatch_pe(self.shared.pe_of_node[dn]);
+        self.wake::<OBS, TRC>(self.shared.pe_of_node[dn]);
     }
 
     /// A credit comes home: the channel's producer may have been blocked on
     /// it (it stayed dirty when declined for space), so dispatch its PE.
-    fn handle_credit_return(&mut self, chan: u32) {
+    fn handle_credit_return<const OBS: bool, const TRC: bool>(&mut self, chan: u32) {
         self.credits[chan as usize] += 1;
         let src = self.shared.channels[chan as usize].src;
-        self.dispatch_pe(self.shared.pe_of_node[src]);
+        self.wake::<OBS, TRC>(self.shared.pe_of_node[src]);
     }
 
     /// After a firing consumed one item from each trigger port, schedule a
     /// credit return (delayed by the channel latency) for every consumed
     /// port fed by a delayed channel — to the owning shard of the sender.
-    fn return_credits(&mut self, node: usize, method: usize) {
-        if self.shared.delayed_in_ports[node].is_empty() {
-            return;
-        }
-        let triggers: Vec<usize> = self.node(node).compiled[method]
-            .triggers
-            .iter()
-            .map(|&(p, _)| p)
-            .collect();
-        for port in triggers {
-            let Some(&(_, chan)) = self.shared.delayed_in_ports[node]
-                .iter()
-                .find(|&&(p, _)| p == port)
-            else {
-                continue;
-            };
+    /// `chans` is the fired method's `Shared::credit_chans` entry.
+    fn return_credits(&mut self, chans: &[u32]) {
+        for &chan in chans {
             let ci = chan as usize;
             let c = self.shared.channels[ci];
             let seq = self.credit_seq[ci];
@@ -2250,86 +2014,141 @@ impl<'a> ShardSim<'a> {
     }
 
     /// Deliver items, recording sink EOF arrival times and marking the
-    /// receiving nodes dirty. Returns the PEs that may now have new work;
-    /// the drained buffer is recycled to the emitting node. Destinations
-    /// behind a delayed channel receive nothing now — the item goes onto
-    /// the channel wire and lands at its [`EventKind::ChannelArrival`].
-    fn route_timed(&mut self, from: usize, mut emitted: Vec<(usize, Item)>) -> Vec<usize> {
-        let mut touched = Vec::new();
+    /// receiving nodes dirty; the PEs that may now have new work
+    /// accumulate into `touched`, and the drained buffer is recycled to
+    /// the emitting node. Destinations behind a delayed channel receive
+    /// nothing now — the item goes onto the channel wire and lands at its
+    /// [`EventKind::ChannelArrival`]. The final destination of a fan-out
+    /// receives the item by move instead of clone+drop.
+    fn route<const OBS: bool, const TRC: bool>(
+        &mut self,
+        from: usize,
+        mut emitted: Vec<(usize, Item)>,
+        touched: &mut Vec<usize>,
+    ) {
+        let shared = self.shared;
+        let masks = shared.program.is_some();
         for (port, item) in emitted.drain(..) {
-            if let Item::Control(ControlToken::Custom(_)) = item {
+            let tok = match &item {
+                Item::Control(t) => Some(*t),
+                Item::Window(_) => None,
+            };
+            if let Some(ControlToken::Custom(_)) = tok {
                 self.custom_token_emissions[from] += 1;
             }
-            let n_dests = self.shared.tables.routes[from][port].len();
-            for di in 0..n_dests {
-                let (dn, dp) = self.shared.tables.routes[from][port][di];
-                if let Some(chan) = self.delayed_chan(dn, dp) {
-                    self.delayed_send(chan, item.clone());
+            let dests = &shared.dests[from][port];
+            let n_dests = dests.len();
+            if n_dests == 0 {
+                continue;
+            }
+            let mut item = Some(item);
+            for (di, &d) in dests.iter().enumerate() {
+                let it = if di + 1 == n_dests {
+                    item.take().expect("item moved early")
+                } else {
+                    item.as_ref().expect("item moved early").clone()
+                };
+                if d.chan != u32::MAX {
+                    self.delayed_send(d.chan, it);
                     continue;
                 }
-                if self.shared.node_roles[dn] == NodeRole::Sink {
-                    if let Item::Control(ControlToken::EndOfFrame) = item {
+                let (dn, dp) = (d.dn as usize, d.dp as usize);
+                if d.sink {
+                    if let Some(ControlToken::EndOfFrame) = tok {
                         self.sink_eofs[dn].push(self.now);
                     }
                 }
                 let depth = {
                     let queue = &mut self.node_mut(dn).queues[dp];
-                    queue.push_back(item.clone());
+                    queue.push_back(it);
                     queue.len()
                 };
+                if masks && depth == 1 {
+                    let bit = 1u64 << dp;
+                    if tok.is_none() {
+                        self.head_data[dn] |= bit;
+                    } else {
+                        self.head_ctrl[dn] |= bit;
+                    }
+                }
                 if depth > self.node_max_queue[dn] {
                     self.node_max_queue[dn] = depth;
                 }
-                if self.metrics.is_some() {
-                    if let Some(chan) = self.shared.chan_into[dn][dp] {
+                if OBS {
+                    if let Some(chan) = shared.chan_into[dn][dp] {
                         if let Some(m) = self.metrics.as_mut() {
                             m.chan_depth(chan as usize, depth);
                         }
                     }
                 }
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(TraceEvent::QueueDepth {
-                        t: self.now,
-                        node: dn as u32,
-                        port: dp as u32,
-                        depth: depth as u32,
-                    });
-                    if let Item::Control(token) = &item {
-                        trace.record(TraceEvent::Token {
+                if TRC {
+                    if let Some(trace) = self.trace.as_mut() {
+                        trace.record(TraceEvent::QueueDepth {
                             t: self.now,
                             node: dn as u32,
                             port: dp as u32,
-                            token: *token,
+                            depth: depth as u32,
                         });
+                        if let Some(token) = tok {
+                            trace.record(TraceEvent::Token {
+                                t: self.now,
+                                node: dn as u32,
+                                port: dp as u32,
+                                token,
+                            });
+                        }
                     }
                 }
                 self.mark_dirty(dn);
-                let pe = self.shared.pe_of_node[dn];
-                if !touched.contains(&pe) {
+                // Busy PEs are filtered here instead of at pop time: a PE
+                // in flight cannot come free within this wave (only
+                // `handle_pe_done` clears it, one per event), so skipping
+                // the push elides a guaranteed no-op pop without changing
+                // the order of the pops that do work.
+                let pe = shared.pe_of_node[dn];
+                if self.pe_inflight[pe].is_none() && self.wave_test_set(pe) {
                     touched.push(pe);
                 }
             }
         }
         self.node_mut(from).recycle_out_buf(emitted);
-        touched
     }
 
-    /// Attempt to start work on each PE in the list; starting a firing frees
-    /// upstream queue space, so upstream PEs are re-attempted transitively.
-    fn dispatch_wave(&mut self, mut worklist: Vec<usize>) {
+    /// Attempt to start work on each PE in the worklist (popped from the
+    /// back); starting a firing frees upstream queue space, so upstream
+    /// PEs are re-attempted transitively. The caller recycles the vector.
+    fn dispatch_wave<const OBS: bool, const TRC: bool>(&mut self, worklist: &mut Vec<usize>) {
+        // An upstream wake's only new information is the space a firing's
+        // consumption freed, so the untraced dispatcher wakes only
+        // `space_waiting` producers (see the field's invariant). A *trace*
+        // wakes every upstream producer: those extra scans are
+        // outcome-free but trace-observable, as each may record a stall
+        // transition. Metrics do NOT need them — a metrics stall is only
+        // counted on a failing space check of a fireable plan, and any
+        // such node is already `space_waiting` (marked by the scan that
+        // first stalled it), so the filtered dispatcher re-scans exactly
+        // the nodes whose stalls the exhaustive one would count.
+        let exhaustive = TRC && self.trace.is_some();
         while let Some(pe) = worklist.pop() {
+            self.wave_clear(pe);
             if self.pe_inflight[pe].is_some() {
                 continue;
             }
-            if let Some(node) = self.try_start(pe) {
+            if let Some(node) = self.try_start::<OBS, TRC>(pe) {
                 for i in 0..self.shared.upstream[node].len() {
-                    let up_pe = self.shared.pe_of_node[self.shared.upstream[node][i]];
-                    if !worklist.contains(&up_pe) {
-                        worklist.push(up_pe);
+                    let up = self.shared.upstream[node][i];
+                    if exhaustive || self.space_waiting[up] {
+                        let up_pe = self.shared.pe_of_node[up];
+                        // Same busy-at-push filter as `route`: the started
+                        // PEs only accumulate within a wave, so a busy
+                        // upstream PE would be skipped at its pop anyway.
+                        if self.pe_inflight[up_pe].is_none() && self.wave_test_set(up_pe) {
+                            worklist.push(up_pe);
+                        }
                     }
                 }
                 // The PE itself is now busy; it will be revisited at PeDone.
-            } else if self.trace.is_some() {
+            } else if TRC && self.trace.is_some() {
                 self.record_stall(pe);
             }
         }
@@ -2337,7 +2156,7 @@ impl<'a> ShardSim<'a> {
 
     /// Attribute why `pe` failed to start a firing just now, from pure
     /// reads of its residents' state. Any resident with a fireable plan
-    /// must have been blocked by `downstream_space` (that is the only way
+    /// must have been blocked by `space_ok` (that is the only way
     /// `try_start` declines a plan), so back-pressure wins the attribution;
     /// otherwise queued-but-untriggerable inputs mean the PE is starved,
     /// and an empty PE is idle.
@@ -2375,326 +2194,13 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Try to begin one firing on `pe`; returns the node that fired.
-    ///
-    /// Residents are scanned in round-robin order, skipping clean nodes
-    /// (their inputs have not changed since they last failed to plan, so
-    /// they still cannot fire). A dirty node that plans `None` is cleaned;
-    /// one that is only blocked on downstream space stays dirty, because
-    /// space freeing re-triggers a dispatch of this PE. The round-robin
-    /// pointer advances exactly as in an exhaustive scan.
-    fn try_start(&mut self, pe: usize) -> Option<usize> {
-        if self.dirty_count[pe] == 0 {
-            return None;
-        }
-        let len = self.shared.residents[pe].len();
-        for k in 0..len {
-            let idx = (self.rr[pe] + k) % len;
-            let node = self.shared.residents[pe][idx];
-            if !self.dirty[node] {
-                continue;
-            }
-            let Some(action) = self.node(node).plan() else {
-                self.clear_dirty(node);
-                continue;
-            };
-            if let Err(chan) = self.downstream_space(node, action) {
-                self.note_stall(chan);
-                continue;
-            }
-            // Compute read words from the items about to be consumed.
-            let read_words: u64 = match action {
-                Action::Fire { method } => {
-                    let n = self.node(node);
-                    n.compiled[method]
-                        .triggers
-                        .iter()
-                        .map(|&(p, _)| n.queues[p].front().map_or(0, |i| i.words()))
-                        .sum()
-                }
-                Action::Forward { .. } => 0,
-            };
-            let declared: u64 = match action {
-                Action::Fire { method } => self.node(node).compiled[method].cost_cycles,
-                Action::Forward { .. } => 1,
-            };
-            let (emitted, actual) = self.node_mut(node).execute_with_cost(action);
-            // Firing consumed inputs and may have changed private state;
-            // the node must be re-planned before it can be skipped again.
-            self.mark_dirty(node);
-            // Consumption frees buffer space on the consumed channels;
-            // return the credits for any delayed ones.
-            if self.shared.any_delayed {
-                let mi = match action {
-                    Action::Fire { method } | Action::Forward { method, .. } => method,
-                };
-                self.return_credits(node, mi);
-            }
-            // Data-dependent-cost kernels report their actual work; running
-            // past the declared budget is a runtime resource exception
-            // (§VII) recorded per node.
-            let cycles = actual.unwrap_or(declared);
-            if cycles > declared {
-                self.budget_overruns[node] += 1;
-                if let Some(m) = self.metrics.as_mut() {
-                    m.budget_overrun(self.now);
-                }
-            }
-            let write_words: u64 = emitted.iter().map(|(_, i)| i.words()).sum();
-            let m = &self.shared.machine;
-            let run_s = cycles as f64 / m.pe_clock_hz;
-            let read_s = read_words as f64 * m.read_cost_per_word / m.pe_clock_hz;
-            let write_s = write_words as f64 * m.write_cost_per_word / m.pe_clock_hz;
-            let dt = run_s + read_s + write_s;
-            self.pe_inflight[pe] = Some(Inflight {
-                node,
-                emitted,
-                run_s,
-                read_s,
-                write_s,
-            });
-            self.rr[pe] = (idx + 1) % len;
-            self.pe_stall[pe] = None;
-            if self.trace.is_some() {
-                let t = self.now;
-                let mi = match action {
-                    Action::Fire { method } | Action::Forward { method, .. } => method,
-                };
-                // The firing consumed one item from each trigger port;
-                // capture the new depths of those channels before taking
-                // the recorder borrow.
-                let depths: Vec<(u32, u32)> = {
-                    let n = self.node(node);
-                    n.compiled[mi]
-                        .triggers
-                        .iter()
-                        .map(|&(port, _)| (port as u32, n.queues[port].len() as u32))
-                        .collect()
-                };
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(TraceEvent::FiringBegin {
-                        t,
-                        node: node as u32,
-                        method: mi as u32,
-                        pe: pe as u32,
-                        cycles,
-                    });
-                    for (port, depth) in depths {
-                        trace.record(TraceEvent::QueueDepth {
-                            t,
-                            node: node as u32,
-                            port,
-                            depth,
-                        });
-                    }
-                }
-            }
-            let t_done = self.now + dt;
-            self.push_event(t_done, EventKind::PeDone { pe });
-            return Some(node);
-        }
-        None
-    }
-
-    /// `Ok` when every destination queue of the action's outputs has room
-    /// for this firing's worst-case emissions (2 items of slack); `Err`
-    /// identifies the first check that declined (the channel feeding the
-    /// full queue, or `u32::MAX` for a channel-less queue) so the caller
-    /// can attribute the stall. Delayed channels are judged by the local
-    /// credit count — never by receiver state, so the check stays
-    /// shard-local.
-    fn downstream_space(&self, node: usize, action: Action) -> std::result::Result<(), u32> {
-        let method = match action {
-            Action::Fire { method } | Action::Forward { method, .. } => method,
-        };
-        let outputs = &self.node(node).compiled[method].outputs;
-        for &port in outputs {
-            for &(dn, dp) in &self.shared.tables.routes[node][port] {
-                match self.delayed_chan(dn, dp) {
-                    Some(chan) => {
-                        if self.credits[chan as usize] < 2 {
-                            return Err(chan);
-                        }
-                    }
-                    None => {
-                        if self.node(dn).queues[dp].len() + 2 > self.shared.cap_into[dn][dp] {
-                            return Err(self.shared.chan_into[dn][dp].unwrap_or(u32::MAX));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Metrics hook: a plannable firing was declined for downstream space
-    /// on `chan` (`u32::MAX` = a queue with no feeding channel; not
-    /// attributed). Both backends call this at the same program points —
-    /// the compiled dispatcher's scan mirrors the interpreter's exactly
-    /// under `OBS`, which is what keeps stall counts backend-identical.
-    #[inline]
-    fn note_stall(&mut self, chan: u32) {
-        if chan == u32::MAX {
-            return;
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.chan_stall(self.now, chan as usize);
-        }
-    }
-
-    // ---- Direct-threaded (compiled) execution paths ----------------------
-    //
-    // Each method below mirrors its interpreted counterpart statement for
-    // statement, with the interpreter's per-event lookups replaced by the
-    // pre-resolved `CompiledTables`. The mirrored order of side effects
-    // (trace records, event pushes, counter updates) is what keeps the
-    // fingerprints and traces bitwise identical; the differential suite
-    // pins it.
-
-    /// Compiled [`route_timed`](Self::route_timed): destinations come from
-    /// the fused [`RouteDest`] table, touched PEs accumulate into recycled
-    /// scratch, head masks are maintained at each push, and the final
-    /// destination of a fan-out receives the item by move instead of
-    /// clone+drop.
-    fn route_compiled<const OBS: bool, const TRC: bool>(
-        &mut self,
-        from: usize,
-        mut emitted: Vec<(usize, Item)>,
-        ct: &CompiledTables,
-        touched: &mut Vec<usize>,
-    ) {
-        for (port, item) in emitted.drain(..) {
-            let tok = match &item {
-                Item::Control(t) => Some(*t),
-                Item::Window(_) => None,
-            };
-            if let Some(ControlToken::Custom(_)) = tok {
-                self.custom_token_emissions[from] += 1;
-            }
-            let dests = &ct.dests[from][port];
-            let n_dests = dests.len();
-            if n_dests == 0 {
-                continue;
-            }
-            let mut item = Some(item);
-            for (di, &d) in dests.iter().enumerate() {
-                let it = if di + 1 == n_dests {
-                    item.take().expect("item moved early")
-                } else {
-                    item.as_ref().expect("item moved early").clone()
-                };
-                if d.chan != u32::MAX {
-                    self.delayed_send(d.chan, it);
-                    continue;
-                }
-                let (dn, dp) = (d.dn as usize, d.dp as usize);
-                if d.sink {
-                    if let Some(ControlToken::EndOfFrame) = tok {
-                        self.sink_eofs[dn].push(self.now);
-                    }
-                }
-                let depth = {
-                    let queue = &mut self.node_mut(dn).queues[dp];
-                    queue.push_back(it);
-                    queue.len()
-                };
-                if depth == 1 {
-                    let bit = 1u64 << dp;
-                    if tok.is_none() {
-                        self.head_data[dn] |= bit;
-                    } else {
-                        self.head_ctrl[dn] |= bit;
-                    }
-                }
-                if depth > self.node_max_queue[dn] {
-                    self.node_max_queue[dn] = depth;
-                }
-                if OBS {
-                    if let Some(chan) = self.shared.chan_into[dn][dp] {
-                        if let Some(m) = self.metrics.as_mut() {
-                            m.chan_depth(chan as usize, depth);
-                        }
-                    }
-                }
-                if TRC {
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.record(TraceEvent::QueueDepth {
-                            t: self.now,
-                            node: dn as u32,
-                            port: dp as u32,
-                            depth: depth as u32,
-                        });
-                        if let Some(token) = tok {
-                            trace.record(TraceEvent::Token {
-                                t: self.now,
-                                node: dn as u32,
-                                port: dp as u32,
-                                token,
-                            });
-                        }
-                    }
-                }
-                self.mark_dirty(dn);
-                // Busy PEs are filtered here instead of at pop time: a PE
-                // in flight cannot come free within this wave (only
-                // `handle_pe_done` clears it, one per event), so skipping
-                // the push elides a guaranteed no-op pop without changing
-                // the order of the pops that do work.
-                let pe = self.shared.pe_of_node[dn];
-                if self.pe_inflight[pe].is_none() && self.wave_test_set(pe) {
-                    touched.push(pe);
-                }
-            }
-        }
-        self.node_mut(from).recycle_out_buf(emitted);
-    }
-
-    /// Compiled [`dispatch_wave`](Self::dispatch_wave) over a borrowed
-    /// worklist (the caller recycles the vector).
-    fn dispatch_wave_compiled<const OBS: bool, const TRC: bool>(
-        &mut self,
-        worklist: &mut Vec<usize>,
-        ct: &CompiledTables,
-    ) {
-        // An upstream wake's only new information is the space a firing's
-        // consumption freed, so the untraced dispatcher wakes only
-        // `space_waiting` producers (see the field's invariant). A *trace*
-        // keeps the interpreter's exhaustive pushes: those extra scans are
-        // outcome-free but trace-observable, as each may record a stall
-        // transition. Metrics do NOT need them — a metrics stall is only
-        // counted on a failing space check of a fireable plan, and any
-        // such node is already `space_waiting` (marked by the scan that
-        // first stalled it), so the filtered dispatcher re-scans exactly
-        // the nodes whose stalls the exhaustive one would count.
-        let exhaustive = TRC && self.trace.is_some();
-        while let Some(pe) = worklist.pop() {
-            self.wave_clear(pe);
-            if self.pe_inflight[pe].is_some() {
-                continue;
-            }
-            if let Some(node) = self.try_start_compiled::<OBS, TRC>(pe, ct) {
-                for i in 0..self.shared.upstream[node].len() {
-                    let up = self.shared.upstream[node][i];
-                    if exhaustive || self.space_waiting[up] {
-                        let up_pe = self.shared.pe_of_node[up];
-                        // Same busy-at-push filter as `route_compiled`:
-                        // the started PEs only accumulate within a wave,
-                        // so a busy upstream PE would be skipped at its
-                        // pop anyway.
-                        if self.pe_inflight[up_pe].is_none() && self.wave_test_set(up_pe) {
-                            worklist.push(up_pe);
-                        }
-                    }
-                }
-            } else if TRC && self.trace.is_some() {
-                self.record_stall(pe);
-            }
-        }
-    }
-
-    /// Flattened [`downstream_space`](Self::downstream_space) over the
-    /// method's precomputed check list (identical scan order, identical
-    /// `Err` channel attribution).
+    /// `Ok` when every destination of the method's outputs has room for
+    /// this firing's worst-case emissions (2 items of slack), scanning the
+    /// method's precomputed check list; `Err` identifies the first check
+    /// that declined (the channel feeding the full queue) so the caller
+    /// can attribute the stall.
+    /// Delayed channels are judged by the local credit count — never by
+    /// receiver state, so the check stays shard-local.
     #[inline]
     fn space_ok(&self, checks: &[SpaceCheck]) -> std::result::Result<(), u32> {
         for c in checks {
@@ -2714,41 +2220,38 @@ impl<'a> ShardSim<'a> {
         Ok(())
     }
 
-    /// Compiled [`return_credits`](Self::return_credits): the fired
-    /// method's delayed trigger channels were resolved at build time, so
-    /// this neither allocates nor searches `delayed_in_ports`.
-    fn return_credits_compiled(&mut self, chans: &[u32]) {
-        for &chan in chans {
-            let ci = chan as usize;
-            let c = self.shared.channels[ci];
-            let seq = self.credit_seq[ci];
-            self.credit_seq[ci] += 1;
-            let ord = band1_ord(2 * chan as u64 + 1, seq);
-            let t = self.now + c.latency_s;
-            let src_shard = self.shard_of_pe[self.shared.pe_of_node[c.src]];
-            if src_shard == self.shard {
-                self.push_event_ord(t, ord, EventKind::CreditReturn { chan });
-            } else {
-                self.send_cross(t, ord, chan, src_shard, MsgKind::Credit);
-            }
+    /// Metrics hook: a plannable firing was declined for downstream space
+    /// on `chan`.
+    #[inline]
+    fn note_stall(&mut self, chan: u32) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.chan_stall(self.now, chan as usize);
         }
     }
 
-    /// Compiled [`try_start`](Self::try_start): planning is a mask test
-    /// plus the `ready()` call, firing runs the method's direct-threaded
-    /// routine (pops, read-word accounting, and the behavior call fused),
-    /// and the space/credit/cost lookups hit the precomputed tables.
-    fn try_start_compiled<const OBS: bool, const TRC: bool>(
-        &mut self,
-        pe: usize,
-        ct: &CompiledTables,
-    ) -> Option<usize> {
+    /// Try to begin one firing on `pe`; returns the node that fired.
+    ///
+    /// Residents are scanned in round-robin order, skipping clean nodes
+    /// (their inputs have not changed since they last failed to plan, so
+    /// they still cannot fire). A dirty node that plans `None` is cleaned;
+    /// one that is only blocked on downstream space stays dirty (and is
+    /// flagged `space_waiting`), because space freeing re-triggers a
+    /// dispatch of this PE. The round-robin pointer advances exactly as in
+    /// an exhaustive scan.
+    ///
+    /// The backends differ here and nowhere else: with a lowered program
+    /// the node plans by mask test and fires its fused routine; without
+    /// one it plans by trigger scan and fires through
+    /// [`RtNode::execute_with_cost`]. Both return the same action, read
+    /// words and cycles for the same state, so everything after is shared.
+    fn try_start<const OBS: bool, const TRC: bool>(&mut self, pe: usize) -> Option<usize> {
         if self.dirty_count[pe] == 0 {
             return None;
         }
-        let len = self.shared.residents[pe].len();
+        let shared = self.shared;
+        let len = shared.residents[pe].len();
         // Round-robin over the residents starting at `rr[pe]`, with the
-        // wraparound as a compare instead of the interpreter's modulo.
+        // wraparound as a compare instead of a modulo.
         let mut idx = self.rr[pe];
         for _ in 0..len {
             let cur = idx;
@@ -2756,78 +2259,83 @@ impl<'a> ShardSim<'a> {
             if idx == len {
                 idx = 0;
             }
-            let node = self.shared.residents[pe][cur];
+            let node = shared.residents[pe][cur];
             if !self.dirty[node] {
                 continue;
             }
-            let tn = &ct.program.nodes[node];
-            #[cfg(debug_assertions)]
-            {
-                let n = self.node(node);
-                debug_assert_eq!(
-                    bp_codegen::head_masks(&n.queues),
-                    (self.head_data[node], self.head_ctrl[node]),
-                    "stale head masks for node {node}"
-                );
-            }
+            let lowered = shared.program.as_deref().map(|p| &p.nodes[node]);
             let action = {
                 let n = self.node(node);
-                tn.plan(
-                    self.head_data[node],
-                    self.head_ctrl[node],
-                    &n.queues,
-                    n.behavior.as_ref(),
-                )
+                match lowered {
+                    Some(tn) => {
+                        debug_assert_eq!(
+                            bp_codegen::head_masks(&n.queues),
+                            (self.head_data[node], self.head_ctrl[node]),
+                            "stale head masks for node {node}"
+                        );
+                        tn.plan(
+                            self.head_data[node],
+                            self.head_ctrl[node],
+                            &n.queues,
+                            n.behavior.as_ref(),
+                        )
+                    }
+                    None => n.plan(),
+                }
             };
             let Some(action) = action else {
                 self.clear_dirty(node);
                 continue;
             };
             let mi = match action {
-                bp_codegen::PlannedAction::Fire { method }
-                | bp_codegen::PlannedAction::Forward { method, .. } => method,
+                Action::Fire { method } | Action::Forward { method, .. } => method,
             };
-            if let Err(chan) = self.space_ok(&ct.space[node][mi]) {
+            if let Err(chan) = self.space_ok(&shared.space[node][mi]) {
                 // Plannable but space-blocked: only downstream consumption
                 // can unblock it, so flag it for the consumers' upstream
-                // wakes (the node stays dirty, exactly like the
-                // interpreter's declined plan).
+                // wakes (the node stays dirty).
                 if OBS {
                     self.note_stall(chan);
                 }
                 self.space_waiting[node] = true;
                 continue;
             }
-            let tm = &tn.methods[mi];
-            let (emitted, read_words, cycles, declared, run_s) = match action {
-                bp_codegen::PlannedAction::Fire { .. } => {
-                    let (emitted, res) = self.node_mut(node).fire_threaded(&tm.fire);
-                    let declared = tm.cost_cycles;
-                    let cycles = res.actual_cycles.unwrap_or(declared);
-                    // Equal cycle counts reuse the build-time quotient
-                    // (identical operands ⇒ identical bits); a
-                    // data-dependent count divides live like the interpreter.
-                    let run_s = if cycles == declared {
-                        ct.run_s[node][mi]
-                    } else {
-                        cycles as f64 / self.shared.machine.pe_clock_hz
-                    };
-                    (emitted, res.read_words, cycles, declared, run_s)
+            let (emitted, res) = match (action, lowered) {
+                (Action::Fire { method }, Some(tn)) => {
+                    self.node_mut(node).fire_threaded(&tn.methods[method].fire)
                 }
-                bp_codegen::PlannedAction::Forward { token, .. } => {
-                    let emitted = self.node_mut(node).forward_threaded(tm, token);
-                    (emitted, 0, 1, 1, ct.forward_run_s)
-                }
+                _ => self.node_mut(node).execute_with_cost(action),
             };
-            for &p in &tm.trigger_ports {
-                self.refresh_head(node, p);
+            if let Some(tn) = lowered {
+                for &p in &tn.methods[mi].trigger_ports {
+                    self.refresh_head(node, p);
+                }
             }
             // Firing consumed inputs and may have changed private state;
             // the node must be re-planned before it can be skipped again.
             self.mark_dirty(node);
-            if self.shared.any_delayed {
-                self.return_credits_compiled(&ct.credit_chans[node][mi]);
+            // Consumption frees buffer space on the consumed channels;
+            // return the credits for any delayed ones.
+            if shared.any_delayed {
+                self.return_credits(&shared.credit_chans[node][mi]);
             }
+            // Data-dependent-cost kernels report their actual work; running
+            // past the declared budget is a runtime resource exception
+            // (§VII) recorded per node. Equal cycle counts reuse the
+            // build-time quotient (identical operands ⇒ identical bits).
+            let (declared, declared_run_s) = match action {
+                Action::Fire { .. } => (
+                    self.node(node).compiled[mi].cost_cycles,
+                    shared.run_s[node][mi],
+                ),
+                Action::Forward { .. } => (1, shared.forward_run_s),
+            };
+            let cycles = res.actual_cycles.unwrap_or(declared);
+            let run_s = if cycles == declared {
+                declared_run_s
+            } else {
+                cycles as f64 / shared.machine.pe_clock_hz
+            };
             if cycles > declared {
                 self.budget_overruns[node] += 1;
                 if OBS {
@@ -2837,17 +2345,17 @@ impl<'a> ShardSim<'a> {
                 }
             }
             let write_words: u64 = emitted.iter().map(|(_, i)| i.words()).sum();
-            let m = &self.shared.machine;
+            let m = &shared.machine;
             // Memoized word-cost conversions: a hit replays the quotient
-            // the interpreter's expression produced for the same operands
-            // (bitwise identical by IEEE-754 determinism), a miss runs the
+            // the expression produced for the same operands (bitwise
+            // identical by IEEE-754 determinism), a miss runs the
             // expression live and refills the slot.
-            let memo = &mut self.rw_memo[(ct.method_base[node] + mi as u32) as usize];
-            let read_s = if memo.read_words == read_words {
+            let memo = &mut self.rw_memo[(shared.method_base[node] + mi as u32) as usize];
+            let read_s = if memo.read_words == res.read_words {
                 memo.read_s
             } else {
-                let v = read_words as f64 * m.read_cost_per_word / m.pe_clock_hz;
-                memo.read_words = read_words;
+                let v = res.read_words as f64 * m.read_cost_per_word / m.pe_clock_hz;
+                memo.read_words = res.read_words;
                 memo.read_s = v;
                 v
             };
@@ -2873,11 +2381,15 @@ impl<'a> ShardSim<'a> {
                 self.pe_stall[pe] = None;
                 if self.trace.is_some() {
                     let t = self.now;
+                    // The firing consumed one item from each trigger port;
+                    // capture the new depths of those channels before
+                    // taking the recorder borrow.
                     let depths: Vec<(u32, u32)> = {
                         let n = self.node(node);
-                        tm.trigger_ports
+                        n.compiled[mi]
+                            .triggers
                             .iter()
-                            .map(|&port| (port as u32, n.queues[port].len() as u32))
+                            .map(|&(port, _)| (port as u32, n.queues[port].len() as u32))
                             .collect()
                     };
                     if let Some(trace) = self.trace.as_mut() {
@@ -2913,14 +2425,15 @@ impl<'a> ShardSim<'a> {
 /// Walk the wait-for graph of a capacity-deadlocked program and return the
 /// cycle of filled channels as structured hops.
 ///
-/// A blocked node (fireable plan, all PEs idle) is waiting on its first
-/// output channel that fails the `downstream_space` check; following those
-/// edges from each blocked node in index order either revisits a node —
-/// the wait-for cycle (in a feedback loop, the channel chain that filled)
-/// — or dead-ends. Pure reads only, and both engines call this on the same
-/// merged node state (including the merged sender-side credits for delayed
-/// channels), so the resulting hops — channel names, occupancies, and
-/// capacities included — are identical between the sequential and parallel
+/// A blocked node (fireable plan, all PEs idle) is waiting on the channel
+/// of the first of its method's space checks that fails — the check the
+/// event loop declined it with; following those edges from each blocked
+/// node in index order either revisits a node — the wait-for cycle (in a
+/// feedback loop, the channel chain that filled) — or dead-ends. Pure
+/// reads only, and both engines call this on the same merged node state
+/// (including the merged sender-side credits for delayed channels), so
+/// the resulting hops — channel names, occupancies, and capacities
+/// included — are identical between the sequential and parallel
 /// simulators.
 fn deadlock_wait_cycle(
     shared: &Shared,
@@ -2931,66 +2444,41 @@ fn deadlock_wait_cycle(
     let blocked: Vec<bool> = (0..n)
         .map(|i| shared.node_roles[i] != NodeRole::Source && nodes[i].plan().is_some())
         .collect();
-    // The delayed channel into `(dn, dp)`, if any (mirrors
-    // `ShardSim::delayed_chan` on merged state).
-    let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
-        if !shared.any_delayed {
-            return None;
-        }
-        shared.chan_into[dn][dp].filter(|&c| shared.channels[c as usize].latency_s > 0.0)
-    };
-    // The first full output channel of a blocked node: `(out_port, dst,
-    // dst_port)`. Deterministic because ports and routes scan in order.
-    let wait_edge = |i: usize| -> Option<(usize, usize, usize)> {
+    let wait_chan = |i: usize| -> Option<usize> {
         let method = match nodes[i].plan()? {
             Action::Fire { method } | Action::Forward { method, .. } => method,
         };
-        for &port in &nodes[i].compiled[method].outputs {
-            for &(dn, dp) in &shared.tables.routes[i][port] {
-                let full = match delayed_chan(dn, dp) {
-                    Some(chan) => credits[chan as usize] < 2,
-                    None => nodes[dn].queues[dp].len() + 2 > shared.cap_into[dn][dp],
-                };
-                if full {
-                    return Some((port, dn, dp));
-                }
-            }
-        }
-        None
+        shared.space[i][method].iter().find_map(|c| {
+            let (chan, full) = match *c {
+                SpaceCheck::Credit { chan } => (chan, credits[chan as usize] < 2),
+                SpaceCheck::Queue { dn, dp, cap, chan } => (
+                    chan,
+                    nodes[dn as usize].queues[dp as usize].len() + 2 > cap as usize,
+                ),
+            };
+            full.then_some(chan as usize)
+        })
     };
     for start in (0..n).filter(|&i| blocked[i]) {
-        // `(src, out_port, dst, in_port)` hops from `start`.
-        let mut path: Vec<(usize, usize, usize, usize)> = Vec::new();
+        // The channels followed from `start`, and each node's position.
+        let mut path: Vec<usize> = Vec::new();
         let mut pos = vec![usize::MAX; n];
         let mut cur = start;
         while blocked[cur] && pos[cur] == usize::MAX {
-            let Some((op, dst, ip)) = wait_edge(cur) else {
+            let Some(ci) = wait_chan(cur) else {
                 break;
             };
             pos[cur] = path.len();
-            path.push((cur, op, dst, ip));
-            cur = dst;
+            path.push(ci);
+            cur = shared.channels[ci].dst;
         }
         if blocked[cur] && pos[cur] != usize::MAX {
-            let mut hops = Vec::with_capacity(path.len() - pos[cur]);
-            for &(src, op, dst, ip) in &path[pos[cur]..] {
-                let capacity = shared.cap_into[dst][ip];
-                // For a delayed channel, occupancy is capacity minus the
-                // sender's remaining credits (queued + in flight).
-                let occupancy = match delayed_chan(dst, ip) {
-                    Some(chan) => (capacity as i64 - credits[chan as usize]).max(0) as usize,
-                    None => nodes[dst].queues[ip].len(),
-                };
-                hops.push(DeadlockHop {
-                    src: nodes[src].name.clone(),
-                    src_port: nodes[src].spec.outputs[op].name.clone(),
-                    dst: nodes[dst].name.clone(),
-                    dst_port: nodes[dst].spec.inputs[ip].name.clone(),
-                    occupancy,
-                    capacity,
-                });
-            }
-            return Some(hops);
+            return Some(
+                path[pos[cur]..]
+                    .iter()
+                    .map(|&ci| channel_hop(shared, nodes, credits, ci))
+                    .collect(),
+            );
         }
     }
     None

@@ -64,9 +64,10 @@ fn usage() -> ! {
          \x20  --comm-model  inter-PE communication delay (latencies in PE cycles):\n\
          \x20                zero (default) | uniform:LAT[:PER_WORD]\n\
          \x20                | grid:BASE:PER_HOP[:PER_WORD]\n\
-         \x20  --backend     execution backend: auto (default; compiled in\n\
-         \x20                release builds) | interpreted | compiled\n\
-         \x20                (direct-threaded; results are bitwise identical)\n\
+         \x20  --backend     node planner on the one event loop: auto (default;\n\
+         \x20                compiled in release builds) | interpreted (trigger\n\
+         \x20                scan) | compiled (lowered readiness masks and fused\n\
+         \x20                fire routines; results are bitwise identical)\n\
          \x20  --capacity N  pin every channel to N items, disabling the\n\
          \x20                feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\

@@ -1,17 +1,20 @@
-//! Fingerprint-differential suite pinning the compiled (direct-threaded)
-//! backend to the interpreted oracle (DESIGN.md §13).
+//! Fingerprint-differential suite pinning the mask planner
+//! (`Backend::Compiled`: lowered readiness masks and fused fire routines)
+//! to the scan planner (`Backend::Interpreted`: `RtNode::plan` and
+//! `execute_with_cost`) on the shared event loop (DESIGN.md §13).
 //!
-//! For every example application × comm model, the sequential interpreted
-//! engine is the reference; the compiled backend — sequential and parallel
-//! at 1, 2, 4, and 8 threads — must reproduce its `SimReport::fingerprint()`
-//! and sink item streams bit for bit. Traces and structured
+//! For every example application × comm model, the sequential scan-planner
+//! run is the reference; the mask planner — sequential and parallel at 1,
+//! 2, 4, and 8 threads — must reproduce its `SimReport::fingerprint()` and
+//! sink item streams bit for bit. Traces and structured
 //! `Deadlocked(DeadlockReport)` outcomes are held to the same standard:
 //! the backend switch may change *how fast* the simulator runs, never what
 //! it computes, when, or how it diagnoses a wedge.
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::{CommModel, Dim2, Item};
+use bp_core::{AppGraph, BpError, CommModel, Dim2, GraphBuilder, Item, Mapping};
+use bp_kernels as k;
 use bp_sim::{
     Backend, ParallelTimedSimulator, SimConfig, SimOutcome, SimReport, TimedSimulator, TraceOptions,
 };
@@ -91,9 +94,9 @@ fn run(
     (out, items)
 }
 
-/// The tentpole guarantee: for every app × comm model, the compiled
-/// backend's report fingerprint and sink items equal the interpreted
-/// oracle's — sequentially and at 1, 2, 4, and 8 worker threads.
+/// The core guarantee: for every app × comm model, the mask planner's
+/// report fingerprint and sink items equal the scan planner's —
+/// sequentially and at 1, 2, 4, and 8 worker threads.
 #[test]
 fn compiled_matches_interpreted_everywhere() {
     for &name in EXAMPLE_APPS {
@@ -131,7 +134,7 @@ fn compiled_matches_interpreted_everywhere() {
     }
 }
 
-/// Trace equality: the compiled backend records the identical event
+/// Trace equality: the mask planner records the identical event
 /// stream — firings, queue depths, tokens, comm events, and stall
 /// attributions — not just the same aggregate report.
 #[test]
@@ -166,8 +169,8 @@ fn compiled_traces_are_bitwise_identical() {
 
 /// Structured deadlock outcomes survive the backend switch: pinning
 /// `temporal_iir`'s capacities to a uniform 64 (disabling the
-/// feedback-aware back-edge sizing) wedges the loop, and the compiled
-/// backend must assemble the identical `DeadlockReport` — wait-for cycle,
+/// feedback-aware back-edge sizing) wedges the loop, and the mask
+/// planner must assemble the identical `DeadlockReport` — wait-for cycle,
 /// occupancies, and capacity-bump suggestion included.
 #[test]
 fn compiled_deadlock_reports_are_identical() {
@@ -200,7 +203,7 @@ fn compiled_deadlock_reports_are_identical() {
 }
 
 /// Feedback capacities: with the derived (feedback-aware) plan,
-/// `temporal_iir` completes identically on both backends — the primed
+/// `temporal_iir` completes identically under both planners — the primed
 /// loop population, credit flow, and startup const firings all lower
 /// correctly.
 #[test]
@@ -216,5 +219,89 @@ fn compiled_feedback_capacities_complete_identically() {
             "temporal_iir under {mname}: fingerprint diverged"
         );
         assert_eq!(oracle_items, got_items, "temporal_iir under {mname}: items");
+    }
+}
+
+/// `source → split_rr(65) → 65 × scale → join_rr(65) → sink`, mapped 1:1:
+/// the join's token synchronizers trigger on 65 input ports, one more than
+/// the mask planner's `u64` head masks can index.
+fn over_wide_graph() -> (AppGraph, Mapping, k::SinkHandle) {
+    const WIDTH: usize = 65;
+    let grain = Dim2::new(1, 1);
+    let frame = Dim2::new(WIDTH as u32, 2);
+    let mut b = GraphBuilder::new();
+    let src = b.add_source("Input", k::pattern_source(frame), frame, 100.0);
+    let split = b.add("Split", k::split_rr(WIDTH, grain));
+    let join = b.add("Join", k::join_rr(WIDTH, grain));
+    b.connect(src, "out", split, "in");
+    for i in 0..WIDTH {
+        let lane = b.add(format!("Scale{i}"), k::scale(2.0, 1.0));
+        b.connect(split, &format!("out{i}"), lane, "in");
+        b.connect(lane, "out", join, &format!("in{i}"));
+    }
+    let (sdef, handle) = k::sink();
+    let snk = b.add("result", sdef);
+    b.connect(join, "out", snk, "in");
+    let graph = b.build().expect("over-wide graph is well-formed");
+    let mapping = Mapping::one_to_one(graph.node_count());
+    (graph, mapping, handle)
+}
+
+/// A kernel with more than 64 input ports cannot be lowered: `Auto` falls
+/// back to the scan planner and runs it exactly like `Interpreted`
+/// (sequentially and at 2 threads, under every comm model), while an
+/// explicit `Compiled` request is refused with a validation error. The
+/// fallback itself is taken in release builds; under debug assertions
+/// `Auto` scans anyway, and the run checks that no head mask is touched
+/// for a port index past 63.
+#[test]
+fn over_wide_kernels_fall_back_to_the_scan_planner() {
+    for (mname, comm) in models() {
+        let run = |backend: Backend, threads: Option<usize>| {
+            let (graph, mapping, handle) = over_wide_graph();
+            let config = config_with(&comm, backend);
+            let report = match threads {
+                None => TimedSimulator::new(&graph, &mapping, config)
+                    .expect("instantiate")
+                    .run(),
+                Some(t) => ParallelTimedSimulator::new(&graph, &mapping, config, t)
+                    .expect("instantiate")
+                    .run(),
+            }
+            .expect("over-wide graph runs");
+            (
+                report.fingerprint(),
+                report.frames_completed,
+                handle.items(),
+            )
+        };
+        let (oracle, frames, items) = run(Backend::Interpreted, None);
+        assert_eq!(frames, FRAMES, "{mname}: every frame completes");
+        assert!(!items.is_empty(), "{mname}: the sink saw the stream");
+        for (backend, threads) in [
+            (Backend::Interpreted, Some(2)),
+            (Backend::Auto, None),
+            (Backend::Auto, Some(2)),
+        ] {
+            let (fp, _, got) = run(backend, threads);
+            assert_eq!(oracle, fp, "{mname} {backend:?} {threads:?}: fingerprint");
+            assert_eq!(items, got, "{mname} {backend:?} {threads:?}: sink items");
+        }
+        let (graph, mapping, _) = over_wide_graph();
+        let config = config_with(&comm, Backend::Compiled);
+        assert!(
+            matches!(
+                TimedSimulator::new(&graph, &mapping, config.clone()),
+                Err(BpError::Validation(_))
+            ),
+            "{mname}: the compiled backend must refuse a 65-input kernel"
+        );
+        assert!(
+            matches!(
+                ParallelTimedSimulator::new(&graph, &mapping, config, 2),
+                Err(BpError::Validation(_))
+            ),
+            "{mname}: the compiled backend must refuse a 65-input kernel (2 threads)"
+        );
     }
 }

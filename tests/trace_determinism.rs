@@ -14,10 +14,10 @@
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::Dim2;
+use bp_core::{CommModel, Dim2};
 use bp_sim::{
-    chrome_trace_json, profile_node_weights, validate_json, ParallelTimedSimulator, SimConfig,
-    SimReport, TimedSimulator, Trace, TraceOptions,
+    chrome_trace_json, profile_node_weights, validate_json, Backend, ParallelTimedSimulator,
+    SimConfig, SimReport, TimedSimulator, Trace, TraceOptions,
 };
 
 const FRAMES: u32 = 2;
@@ -288,22 +288,85 @@ fn bounded_ring_truncates_without_perturbing_results() {
 }
 
 /// Golden report fingerprints at the reference test configuration
-/// (SMALL/SLOW, 2 frames, default machine). Recorded after the
-/// length-separated fingerprint fix; any change to simulation semantics
-/// or to the fingerprint encoding must update these deliberately.
+/// (SMALL/SLOW, 2 frames, default machine) for every example application
+/// under the three comm models of `tests/backend_differential.rs`. The
+/// zero-model fig1b and edge_detect values were recorded after the
+/// length-separated fingerprint fix; the rest of the table was recorded
+/// from the sequential engine's `Backend::Interpreted` run while it still
+/// had its own event loop, the last independent reference for the
+/// comm-model tables (delayed-channel credits, delayed space checks).
+/// Both backends must reproduce every entry. Any change to simulation
+/// semantics or to the fingerprint encoding must update these
+/// deliberately.
 #[test]
 fn report_fingerprints_match_golden() {
-    const GOLDEN: &[(&str, u64)] = &[
-        ("fig1b", 0x3fd7b8fa22f4f7fe),
-        ("edge_detect", 0x5d384e84264b7f0a),
+    const GOLDEN: &[(&str, &str, u64)] = &[
+        ("fig1b", "zero", 0x3fd7b8fa22f4f7fe),
+        ("fig1b", "uniform", 0xad3bd7848978bd08),
+        ("fig1b", "grid", 0x2fed8b29e574e67b),
+        ("bayer", "zero", 0xf47942be663aff6f),
+        ("bayer", "uniform", 0xb651e71a42cdf804),
+        ("bayer", "grid", 0xebf04173c1ddf09a),
+        ("histogram", "zero", 0x6de4b18d4a6c824c),
+        ("histogram", "uniform", 0x70edb331335c6218),
+        ("histogram", "grid", 0x49823915e016b2da),
+        ("parallel_buffer", "zero", 0x7f5498ce4ad6047a),
+        ("parallel_buffer", "uniform", 0x1024d0ea23f5d105),
+        ("parallel_buffer", "grid", 0xbd70d233e14400ed),
+        ("multi_conv", "zero", 0x38e227c6d8ac07d7),
+        ("multi_conv", "uniform", 0xef7104db42d76074),
+        ("multi_conv", "grid", 0x1688f25e2ffda3fc),
+        ("temporal_iir", "zero", 0x7b866d603065851d),
+        ("temporal_iir", "uniform", 0xd880c88521078311),
+        ("temporal_iir", "grid", 0x7eb264bf7f736708),
+        ("fir_radio", "zero", 0x909bd8088ab023ee),
+        ("fir_radio", "uniform", 0xc9cdb3aae4e9e47d),
+        ("fir_radio", "grid", 0x5f36083bf0ac9af2),
+        ("edge_detect", "zero", 0x5d384e84264b7f0a),
+        ("edge_detect", "uniform", 0xf0f2bd1ef13037ef),
+        ("edge_detect", "grid", 0xc4ceeb3ff9d2f64c),
+        ("analytics", "zero", 0x4b67e197bf53050a),
+        ("analytics", "uniform", 0x2fee3c089bacfa4b),
+        ("analytics", "grid", 0xda92dba00e06ad4f),
+        ("stereo_diff", "zero", 0x877614c8d5407a5d),
+        ("stereo_diff", "uniform", 0x5c2d100117850aba),
+        ("stereo_diff", "grid", 0x443c9cf019422182),
+        ("camera_bank", "zero", 0xc1ebec8b2e8339a4),
+        ("camera_bank", "uniform", 0x322d38dbcb9679ba),
+        ("camera_bank", "grid", 0x6f92277b74fef283),
     ];
-    for &(name, want) in GOLDEN {
-        let (report, _) = run_sequential(name, false).expect("runs");
-        assert_eq!(
-            report.fingerprint(),
-            want,
-            "{name}: report fingerprint drifted (got {:#018x})",
-            report.fingerprint()
-        );
+    assert_eq!(GOLDEN.len(), EXAMPLE_APPS.len() * models().len());
+    for &(name, mname, want) in GOLDEN {
+        let (_, comm) = models()
+            .into_iter()
+            .find(|(m, _)| *m == mname)
+            .expect("known model");
+        for backend in [Backend::Interpreted, Backend::Compiled] {
+            let app = build_example(name);
+            let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+            let config = SimConfig::new(FRAMES)
+                .with_comm(comm.clone())
+                .with_backend(backend);
+            let report = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+                .expect("instantiate")
+                .run()
+                .expect("runs");
+            assert_eq!(
+                report.fingerprint(),
+                want,
+                "{name} under {mname} ({backend:?}): report fingerprint drifted (got {:#018x})",
+                report.fingerprint()
+            );
+        }
     }
+}
+
+/// The three comm models of `tests/backend_differential.rs`: direct
+/// delivery, a uniform 64-cycle latency, and a distance-dependent grid.
+fn models() -> Vec<(&'static str, CommModel)> {
+    vec![
+        ("zero", CommModel::zero()),
+        ("uniform", CommModel::uniform(64e-9, 1e-9)),
+        ("grid", CommModel::grid(32e-9, 8e-9, 1e-9)),
+    ]
 }
