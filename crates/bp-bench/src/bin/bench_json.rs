@@ -54,10 +54,10 @@ fn thread_cpu_ns() -> Option<u64> {
 
 /// Wall-clock throughput of the timed simulator at the reference config.
 /// "Windows per second" counts kernel firings (each consumes/produces one
-/// window or token set) per wall-clock second of simulation. With
-/// `threads > 1` the sharded parallel engine runs instead (bitwise-identical
-/// report; the fig1b pipeline is one connected component, so this mainly
-/// measures the parallel path's overhead). With `trace` set, event tracing
+/// window or token set) per wall-clock second of simulation. One thread
+/// runs the sequential engine; more run the sharded parallel engine
+/// (bitwise-identical report; the fig1b pipeline is one connected
+/// component, so this mainly measures the parallel path's overhead). With `trace` set, event tracing
 /// records into a default-capacity ring during the measurement; a traced
 /// run executes on the sequential engine whatever `threads` is.
 fn bench_timed(threads: usize, trace: bool, backend: Backend) -> Throughput {
@@ -75,17 +75,15 @@ fn bench_timed(threads: usize, trace: bool, backend: Backend) -> Throughput {
     let mut fingerprint = 0u64;
     for s in 0..SAMPLES + 2 {
         let t0 = Instant::now();
-        let report = if threads > 1 {
-            ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone(), threads)
-                .expect("instantiate")
-                .run()
-                .expect("run")
-        } else {
-            TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-                .expect("instantiate")
-                .run()
-                .expect("run")
-        };
+        let report = ParallelTimedSimulator::new(
+            &compiled.graph,
+            &compiled.mapping,
+            config.clone(),
+            threads,
+        )
+        .expect("instantiate")
+        .run()
+        .expect("run");
         let wall = t0.elapsed().as_secs_f64();
         let total: u64 = report.node_firings.iter().sum();
         if firings == 0 {

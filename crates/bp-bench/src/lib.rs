@@ -13,7 +13,7 @@ pub mod microbench;
 use bp_apps::App;
 use bp_compiler::{compile, CompileOptions, Compiled};
 use bp_core::Result;
-use bp_sim::{ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator};
+use bp_sim::{ParallelTimedSimulator, SimConfig, SimReport};
 
 /// Mapped-PE count at and above which [`compile_and_simulate`] switches to
 /// the sharded parallel timed simulator. Below it the sharding bookkeeping
@@ -33,14 +33,13 @@ pub fn compile_and_simulate(
 ) -> Result<(Compiled, SimReport)> {
     let compiled = compile(&app.graph, opts)?;
     let config = SimConfig::new(frames).with_machine(opts.machine);
-    let report = if compiled.mapping.num_pes >= PARALLEL_PE_THRESHOLD {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, workers)?.run()?
+    let workers = if compiled.mapping.num_pes >= PARALLEL_PE_THRESHOLD {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
-        TimedSimulator::new(&compiled.graph, &compiled.mapping, config)?.run()?
+        1
     };
+    let report =
+        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, workers)?.run()?;
     Ok((compiled, report))
 }
 

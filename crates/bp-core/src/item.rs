@@ -69,18 +69,23 @@ impl Window {
         Self::filled(dim, 0.0)
     }
 
-    /// Build a window from a function of (x, y).
+    /// Build a window from a function of (x, y), called in row-major
+    /// order. Larger-than-1×1 windows cost exactly one allocation: the
+    /// samples are collected straight into the shared slice from an
+    /// iterator of known length.
     pub fn from_fn(dim: Dim2, mut f: impl FnMut(u32, u32) -> f64) -> Self {
         if dim.area() == 1 {
             return Self::scalar(f(0, 0));
         }
-        let mut data = Vec::with_capacity(dim.area() as usize);
-        for y in 0..dim.h {
-            for x in 0..dim.w {
-                data.push(f(x, y));
-            }
+        let w = u64::from(dim.w);
+        let data: Arc<[f64]> = (0..dim.area())
+            .map(|i| f((i % w) as u32, (i / w) as u32))
+            .collect();
+        Self {
+            w: dim.w,
+            h: dim.h,
+            data: Payload::Shared(data),
         }
-        Self::from_data(dim.w, dim.h, data)
     }
 
     /// Build a window from row-major samples. Panics if the sample count

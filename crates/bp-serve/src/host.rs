@@ -9,7 +9,7 @@
 //! active tenant by its per-round event budget — in tenant-id order on
 //! one worker, or partitioned into contiguous tenant ranges across
 //! worker threads. Because every tenant is a fully self-contained
-//! simulation ([`bp_sim::SteppableSim`]) and budgets are fixed at the
+//! simulation ([`bp_sim::TimedSimulator`]) and budgets are fixed at the
 //! boundary, the worker count cannot affect any tenant's event sequence:
 //! per-tenant results are bitwise identical across worker counts *and*
 //! identical to a solo run of the same spec (the serving contract; see
@@ -27,7 +27,7 @@ use crate::cache::{CacheStats, ProgramCache};
 use crate::tenant::{Tenant, TenantReport, TenantSpec};
 use bp_core::Result;
 use bp_metrics::{FleetAggregate, FleetTape, MetricsTape, TenantTape};
-use bp_sim::{Backend, SimReport, SteppableSim, TimedSimulator};
+use bp_sim::{Backend, SimReport, TimedSimulator};
 use std::collections::VecDeque;
 
 pub use crate::admission::AdmissionConfig;
@@ -268,7 +268,7 @@ impl FleetHost {
             Err(e) if config.backend == Backend::Compiled => return Err(e),
             Err(_) => bp_codegen::shape_key(&spec.graph),
         };
-        let sim = SteppableSim::new(&spec.graph, &spec.mapping, config)?;
+        let sim = TimedSimulator::new(&spec.graph, &spec.mapping, config)?;
         let id = *next_id;
         *next_id += 1;
         Ok(Tenant {
@@ -336,7 +336,7 @@ fn step_round(active: &mut [Tenant], default_budget: usize, workers: usize) {
 
 fn retire(t: Tenant, finished_round: u64) -> Result<TenantReport> {
     let events = t.sim.events_processed();
-    let (report, tape) = t.sim.finish_report()?;
+    let (report, tape) = t.sim.run_with_metrics()?;
     Ok(TenantReport {
         tenant: t.id,
         name: t.name,

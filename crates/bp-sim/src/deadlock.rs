@@ -174,10 +174,10 @@ impl DeadlockReport {
 }
 
 /// How a timed simulation settled: a completed [`SimReport`], or a capacity
-/// deadlock with its structured diagnosis. Returned by
-/// `TimedSimulator::run_outcome` and `ParallelTimedSimulator::run_outcome`;
-/// the plain `run` APIs convert a deadlock into a simulation error carrying
-/// [`DeadlockReport::render`].
+/// deadlock with its structured diagnosis: the `outcome` of the
+/// [`RunArtifacts`](crate::RunArtifacts) both engines' `run_artifacts`
+/// return. The plain `run` APIs convert a deadlock into a simulation error
+/// carrying [`DeadlockReport::render`].
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum SimOutcome {

@@ -20,8 +20,8 @@
 //!   §11). Traced runs execute on the sequential engine.
 //! - [`deadlock`]: structured capacity-deadlock diagnostics — the
 //!   [`DeadlockReport`] both timed engines assemble identically when a
-//!   simulation wedges, and the [`SimOutcome`] returned by their
-//!   `run_outcome` entry points.
+//!   simulation wedges, and the [`SimOutcome`] in the [`RunArtifacts`]
+//!   their `run_artifacts` entry points return.
 //! - [`events`]: the pending-event queues (calendar queue + binary-heap
 //!   reference) shared by the timed engines.
 //! - [`stats`]: per-PE utilization (run/read/write breakdown), throughput
@@ -45,7 +45,6 @@
 
 #![warn(missing_docs)]
 
-mod affinity;
 mod optimistic;
 
 pub mod chrome;
@@ -55,7 +54,6 @@ pub mod functional;
 pub mod parallel;
 pub mod runtime;
 pub mod stats;
-pub mod step;
 pub mod timed;
 pub mod timed_parallel;
 pub mod trace;
@@ -70,9 +68,10 @@ pub use optimistic::StragglerPolicy;
 pub use parallel::{run_batch, run_batch_with_workers};
 pub use runtime::{Action, Program, RtNode, SourceRt};
 pub use stats::{PeStats, RealTimeVerdict, SimReport};
-pub use step::SteppableSim;
-pub use timed::{derive_channel_capacity, Backend, SimConfig, TimedSimulator};
-pub use timed_parallel::{profile_node_weights, ParallelRunStats, ParallelTimedSimulator};
+pub use timed::{
+    derive_channel_capacity, Backend, RunArtifacts, SimConfig, SteppableSim, TimedSimulator,
+};
+pub use timed_parallel::{ParallelRunStats, ParallelTimedSimulator};
 pub use trace::{
     ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,
 };

@@ -4,45 +4,19 @@
 //! single-threaded; only the batch is parallel, so results are identical to
 //! a sequential run.
 //!
-//! The dispatcher is lock-free on the steady-state path: workers claim jobs
-//! by bumping one shared atomic index over an immutable job slice, and each
-//! result is written to its own pre-sized slot. There is no job-queue mutex
-//! to convoy on and no results-vector lock, so batch throughput scales
-//! linearly with cores until the jobs themselves saturate memory bandwidth.
+//! Workers pull `(index, job)` pairs from one shared iterator and return
+//! index-tagged results, which are put back in job order at the end.
+//! The lock is taken once per job, and each job is a whole simulation, so
+//! it never shows up next to the work it hands out.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A slice of per-job slots that workers write disjointly. Safety: the
-/// atomic job counter hands every index to exactly one worker, so no two
-/// threads ever touch the same slot.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    /// Take the value out of slot `i`.
-    ///
-    /// # Safety
-    /// The caller must be the unique owner of slot `i` (each index is handed
-    /// to exactly one worker by the atomic job counter).
-    unsafe fn take(&self, i: usize) -> Option<T> {
-        unsafe { (*self.0[i].get()).take() }
-    }
-
-    /// Write `v` into slot `i`. Same safety contract as [`take`](Self::take).
-    unsafe fn put(&self, i: usize, v: T) {
-        unsafe { *self.0[i].get() = Some(v) };
-    }
-}
+use std::sync::Mutex;
 
 /// A shared vector whose elements are mutated concurrently under an
-/// *external* disjoint-ownership discipline — the same idea as [`Slots`],
-/// but with ownership decided up front (e.g. a [`bp_core::ShardPlan`]
-/// assigning every node to exactly one shard worker) instead of by an
-/// atomic claim counter. Used by the epoch-sharded timed simulator to let
-/// each worker borrow its own nodes mutably while the vector itself is
-/// shared.
+/// *external* disjoint-ownership discipline decided up front (e.g. a
+/// [`bp_core::ShardPlan`] assigning every node to exactly one shard
+/// worker). Used by the sharded timed simulator to let each worker borrow
+/// its own nodes mutably while the vector itself is shared.
 pub(crate) struct DisjointSlots<T>(Vec<UnsafeCell<T>>);
 
 unsafe impl<T: Send> Sync for DisjointSlots<T> {}
@@ -106,35 +80,30 @@ where
         return jobs.into_iter().map(|j| j()).collect();
     }
     let workers = workers.min(n);
-
-    // Jobs are also kept in per-slot cells: a worker that claims index `i`
-    // takes the closure out of slot `i` and writes the result into result
-    // slot `i`. The atomic counter is the only shared mutable word.
-    let job_slots = Slots(jobs.into_iter().map(|j| UnsafeCell::new(Some(j))).collect());
-    let results: Slots<T> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: `i` came from a fetch_add, so this thread is the
-                // unique owner of job slot `i` and result slot `i`.
-                let job = unsafe { job_slots.take(i) }.expect("job claimed twice");
-                let r = job();
-                unsafe { results.put(i, r) };
-            });
-        }
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard drops at the end of this statement, so
+                        // the job runs unlocked.
+                        let next = queue.lock().expect("batch queue poisoned").next();
+                        let Some((i, job)) = next else { break };
+                        done.push((i, job()));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("batch worker panicked"))
+            .collect()
     });
-
-    results
-        .0
-        .into_iter()
-        .map(|c| c.into_inner().expect("every job ran"))
-        .collect()
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@ use crate::optimistic::{key, Checkpoint, InKind, InRec, Key, OptState, OutRec, S
 use crate::parallel::DisjointSlots;
 use crate::runtime::{stuck_report, Action, Program, ProgramTables, RtNode};
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
+use crate::timed_parallel::ParallelRunStats;
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
 use bp_core::capacity::{derive_channel_capacities, ChannelCapacities};
 use bp_core::graph::AppGraph;
@@ -160,9 +161,6 @@ pub struct SimConfig {
     /// testing (`None`, the default, injects nothing). Stalls perturb only
     /// the speculation schedule, never committed results.
     pub straggler: Option<StragglerPolicy>,
-    /// Pin parallel-engine workers to CPU cores round-robin (Linux only;
-    /// a no-op elsewhere). Default off.
-    pub pin_workers: bool,
 }
 
 impl SimConfig {
@@ -183,7 +181,6 @@ impl SimConfig {
             sync: SyncMode::Conservative,
             checkpoint_interval: 64,
             straggler: None,
-            pin_workers: false,
         }
     }
 
@@ -265,13 +262,6 @@ impl SimConfig {
     /// (testing aid; forces rollbacks without changing committed results).
     pub fn with_straggler(mut self, policy: StragglerPolicy) -> Self {
         self.straggler = Some(policy);
-        self
-    }
-
-    /// Pin parallel-engine worker threads to CPU cores round-robin
-    /// (Linux only; a no-op elsewhere).
-    pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 }
@@ -500,8 +490,6 @@ pub(crate) struct Shared {
     pub(crate) checkpoint_interval: usize,
     /// Optimistic-mode deterministic straggler injection (testing aid).
     pub(crate) straggler: Option<StragglerPolicy>,
-    /// Pin parallel-engine workers to cores (Linux only).
-    pub(crate) pin_workers: bool,
 }
 
 /// [`bp_core::MetricsPolicy`] with every default resolved against the
@@ -520,6 +508,13 @@ pub(crate) fn build_shared(
     mapping: &Mapping,
     config: SimConfig,
 ) -> Result<(Vec<RtNode>, Shared)> {
+    // A zero-frame run settles with nothing to rate: its real-time verdict
+    // would be an empty "achieved 0 Hz" rather than a measurement.
+    if config.frames == 0 {
+        return Err(BpError::Validation(
+            "a timed simulation needs at least one frame".into(),
+        ));
+    }
     if mapping.pe_of_node.len() != graph.node_count() {
         return Err(BpError::Simulation(format!(
             "mapping covers {} nodes but graph has {}",
@@ -713,7 +708,6 @@ pub(crate) fn build_shared(
         sync: config.sync,
         checkpoint_interval: config.checkpoint_interval,
         straggler: config.straggler,
-        pin_workers: config.pin_workers,
     };
     Ok((nodes, shared))
 }
@@ -749,16 +743,25 @@ pub(crate) struct ShardOutcome {
     pub(crate) sync: bp_metrics::SyncCounters,
 }
 
+/// Cross-shard communication inboxes of a parallel run, one per
+/// destination shard.
+pub(crate) type Inboxes = Arc<[Mutex<Vec<OutMsg>>]>;
+
 /// The discrete-event engine for one shard: a set of PEs (and their resident
 /// nodes) that never interact with any other shard's. The sequential
 /// simulator is the single-shard special case. All state vectors are
 /// globally indexed; entries for PEs/nodes the shard does not own stay at
 /// their initial values and are ignored during merging.
-pub(crate) struct ShardSim<'a> {
-    shared: &'a Shared,
-    nodes: &'a DisjointSlots<RtNode>,
+///
+/// The engine owns its context: the read-only tables and the node slots
+/// are reference-counted and shared with the other shards of a parallel
+/// run, so an engine is an ordinary `Send` value a caller can hold, move,
+/// and resume ([`TimedSimulator::step`]).
+pub(crate) struct ShardSim {
+    shared: Arc<Shared>,
+    nodes: Arc<DisjointSlots<RtNode>>,
     shard: usize,
-    shard_of_pe: &'a [usize],
+    shard_of_pe: Vec<usize>,
     rr: Vec<usize>,
     pe_inflight: Vec<Option<Inflight>>,
     /// Ready-set state: `dirty[node]` is true when the node's inputs or
@@ -803,7 +806,7 @@ pub(crate) struct ShardSim<'a> {
     credit_seq: Vec<u32>,
     /// Cross-shard communication inboxes (parallel engine only); indexed by
     /// destination shard.
-    links: Option<&'a [Mutex<Vec<OutMsg>>]>,
+    links: Option<Inboxes>,
     /// Earliest timestamp of any event this shard emitted into another
     /// shard's inbox since the last [`take_min_out`](Self::take_min_out);
     /// the coordinator folds it into the global window bound so in-flight
@@ -861,17 +864,17 @@ pub(crate) struct ShardSim<'a> {
     opt: Option<Box<OptState>>,
 }
 
-impl<'a> ShardSim<'a> {
+impl ShardSim {
     /// `shard_of_pe` assigns every PE to a shard; this instance runs the
     /// PEs of shard `shard`. Pass `links = Some(inboxes)` to route
     /// cross-shard communication (sequential runs pass `None`; with
     /// one shard every channel is internal and the inboxes are never used).
     pub(crate) fn new(
-        shared: &'a Shared,
-        nodes: &'a DisjointSlots<RtNode>,
+        shared: Arc<Shared>,
+        nodes: Arc<DisjointSlots<RtNode>>,
         shard: usize,
-        shard_of_pe: &'a [usize],
-        links: Option<&'a [Mutex<Vec<OutMsg>>]>,
+        shard_of_pe: Vec<usize>,
+        links: Option<Inboxes>,
     ) -> Self {
         let n = nodes.len();
         let num_pes = shared.residents.len();
@@ -880,10 +883,6 @@ impl<'a> ShardSim<'a> {
         // fractional word costs, so event times cluster at this scale.
         let quantum = 1.0 / shared.machine.pe_clock_hz;
         Self {
-            shared,
-            nodes,
-            shard,
-            shard_of_pe,
             rr: vec![0; num_pes],
             pe_inflight: (0..num_pes).map(|_| None).collect(),
             dirty: vec![false; n],
@@ -920,6 +919,11 @@ impl<'a> ShardSim<'a> {
             rw_memo: vec![RwMemo::default(); shared.num_method_slots],
             space_waiting: vec![false; n],
             opt: None,
+            // Moved last: the initializers above read them.
+            shared,
+            nodes,
+            shard,
+            shard_of_pe,
         }
     }
 
@@ -1018,20 +1022,13 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Run this shard's portion of the simulation to quiescence: fire the
-    /// owned startup constants (in global order), seed the owned sources,
-    /// and drain the event queue.
-    pub(crate) fn run(&mut self) {
-        self.init();
-        self.run_window(f64::INFINITY);
-    }
-
     /// Fire the owned startup constants (in global order) and seed the
     /// owned sources — everything that happens before the first event pop.
     pub(crate) fn init(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        let shared = &*shared;
         // Constants fire at t = 0, before any source sample.
-        for ci in 0..self.shared.tables.consts.len() {
-            let (node, method) = self.shared.tables.consts[ci];
+        for &(node, method) in &shared.tables.consts {
             if !self.owns_node(node) {
                 continue;
             }
@@ -1042,9 +1039,9 @@ impl<'a> ShardSim<'a> {
             self.mark_dirty(node);
             let mut wave = std::mem::take(&mut self.wave_buf);
             wave.clear();
-            self.route::<true, true>(node, emitted, &mut wave);
+            self.route::<true, true>(shared, node, emitted, &mut wave);
             self.record_untriggered_end(node);
-            self.dispatch_wave::<true, true>(&mut wave);
+            self.dispatch_wave::<true, true>(shared, &mut wave);
             self.wave_buf = wave;
         }
         for s in 0..self.shared.tables.sources.len() {
@@ -1117,6 +1114,10 @@ impl<'a> ShardSim<'a> {
         end: f64,
         max_events: usize,
     ) -> (usize, f64) {
+        // The handlers read the shared tables while mutating the engine;
+        // one handle per call (not per event) lends them both.
+        let shared = Arc::clone(&self.shared);
+        let shared = &*shared;
         let mut done = 0;
         while done < max_events {
             let Some(ev) = self.events.pop() else { break };
@@ -1135,13 +1136,15 @@ impl<'a> ShardSim<'a> {
             }
             self.processed += 1;
             match ev.payload {
-                EventKind::SourceEmit { source } => self.handle_source_emit::<OBS, TRC>(source),
-                EventKind::PeDone { pe } => self.handle_pe_done::<OBS, TRC>(pe),
+                EventKind::SourceEmit { source } => {
+                    self.handle_source_emit::<OBS, TRC>(shared, source)
+                }
+                EventKind::PeDone { pe } => self.handle_pe_done::<OBS, TRC>(shared, pe),
                 EventKind::ChannelArrival { chan } => {
-                    self.handle_channel_arrival::<OBS, TRC>(chan);
+                    self.handle_channel_arrival::<OBS, TRC>(shared, chan);
                 }
                 EventKind::CreditReturn { chan } => {
-                    self.handle_credit_return::<OBS, TRC>(chan);
+                    self.handle_credit_return::<OBS, TRC>(shared, chan);
                 }
             }
             done += 1;
@@ -1178,7 +1181,9 @@ impl<'a> ShardSim<'a> {
     /// Not metered: the *sender* counted each push on its own clock when
     /// it sent it.
     pub(crate) fn drain_inbox(&mut self) {
-        let Some(links) = self.links else { return };
+        let Some(links) = self.links.as_deref() else {
+            return;
+        };
         let msgs = std::mem::take(&mut *links[self.shard].lock().unwrap());
         for m in msgs {
             match m.kind {
@@ -1206,7 +1211,9 @@ impl<'a> ShardSim<'a> {
     /// arrival (asserted) — that is what makes fossil collection at GVT
     /// sound.
     pub(crate) fn drain_inbox_optimistic(&mut self, gvt: f64) {
-        let Some(links) = self.links else { return };
+        let Some(links) = self.links.as_deref() else {
+            return;
+        };
         let msgs = std::mem::take(&mut *links[self.shard].lock().unwrap());
         for m in msgs {
             debug_assert!(m.t >= gvt, "message at t={} arrived below GVT={gvt}", m.t);
@@ -1254,7 +1261,7 @@ impl<'a> ShardSim<'a> {
     /// sent from keys ≥ `k` must be cancelled — their re-execution now
     /// happens under different inputs); a key in the future needs nothing.
     fn incoming_key_repair(&mut self, k: Key) {
-        let links = self.links;
+        let links = self.links.as_deref();
         let opt = self.opt.as_deref_mut().expect("optimistic repair");
         if k <= opt.last_key {
             self.rollback_to(k);
@@ -1605,7 +1612,7 @@ impl<'a> ShardSim<'a> {
         opt.cur_key = last_key;
         opt.last_key = last_key;
         opt.coast_end = Some(k);
-        Self::cancel_sends_from(&mut opt, self.links, &mut self.min_out, k);
+        Self::cancel_sends_from(&mut opt, self.links.as_deref(), &mut self.min_out, k);
         // Re-inject everything received after the capture point, in drain
         // order — including anti-message cancellations, which must strip
         // positives the snapshot still holds before any re-sent copy is
@@ -1653,7 +1660,7 @@ impl<'a> ShardSim<'a> {
     /// like for positives.
     fn cancel_sends_from(
         opt: &mut OptState,
-        links: Option<&'a [Mutex<Vec<OutMsg>>]>,
+        links: Option<&[Mutex<Vec<OutMsg>>]>,
         min_out: &mut f64,
         k: Key,
     ) {
@@ -1726,7 +1733,11 @@ impl<'a> ShardSim<'a> {
 
     /// Inject one sample of `source` on its fixed schedule and schedule the
     /// next injection.
-    fn handle_source_emit<const OBS: bool, const TRC: bool>(&mut self, source: usize) {
+    fn handle_source_emit<const OBS: bool, const TRC: bool>(
+        &mut self,
+        shared: &Shared,
+        source: usize,
+    ) {
         let s = self.shared.tables.sources[source];
         if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
             self.frame_start_times.push(self.now);
@@ -1753,11 +1764,11 @@ impl<'a> ShardSim<'a> {
         let emitted = self.node_mut(s.node).fire_untriggered(s.method);
         let mut wave = std::mem::take(&mut self.wave_buf);
         wave.clear();
-        self.route::<OBS, TRC>(s.node, emitted, &mut wave);
+        self.route::<OBS, TRC>(shared, s.node, emitted, &mut wave);
         if TRC {
             self.record_untriggered_end(s.node);
         }
-        self.dispatch_wave::<OBS, TRC>(&mut wave);
+        self.dispatch_wave::<OBS, TRC>(shared, &mut wave);
         self.wave_buf = wave;
 
         self.source_progress[source] += 1;
@@ -1787,7 +1798,7 @@ impl<'a> ShardSim<'a> {
     /// A PE finishes its firing: account its busy time, deliver the
     /// emissions, and dispatch the touched PEs plus the PE itself. The
     /// own-PE push is unconditional (it bypasses the wave mask).
-    fn handle_pe_done<const OBS: bool, const TRC: bool>(&mut self, pe: usize) {
+    fn handle_pe_done<const OBS: bool, const TRC: bool>(&mut self, shared: &Shared, pe: usize) {
         let inflight = self.pe_inflight[pe]
             .take()
             .expect("PeDone without inflight");
@@ -1816,19 +1827,19 @@ impl<'a> ShardSim<'a> {
         }
         let mut wave = std::mem::take(&mut self.wave_buf);
         wave.clear();
-        self.route::<OBS, TRC>(inflight.node, inflight.emitted, &mut wave);
+        self.route::<OBS, TRC>(shared, inflight.node, inflight.emitted, &mut wave);
         wave.push(pe);
-        self.dispatch_wave::<OBS, TRC>(&mut wave);
+        self.dispatch_wave::<OBS, TRC>(shared, &mut wave);
         self.wave_buf = wave;
     }
 
     /// Dispatch a one-PE wave: an arrival or a returned credit may have
     /// given `pe` work.
-    fn wake<const OBS: bool, const TRC: bool>(&mut self, pe: usize) {
+    fn wake<const OBS: bool, const TRC: bool>(&mut self, shared: &Shared, pe: usize) {
         let mut wave = std::mem::take(&mut self.wave_buf);
         wave.clear();
         wave.push(pe);
-        self.dispatch_wave::<OBS, TRC>(&mut wave);
+        self.dispatch_wave::<OBS, TRC>(shared, &mut wave);
         self.wave_buf = wave;
     }
 
@@ -1919,7 +1930,10 @@ impl<'a> ShardSim<'a> {
         // nothing in flight, and counting it would drag the GVT horizon
         // below timestamps the fleet already committed.
         self.min_out = self.min_out.min(t);
-        let links = self.links.expect("cross-shard send without links");
+        let links = self
+            .links
+            .as_deref()
+            .expect("cross-shard send without links");
         links[dst_shard]
             .lock()
             .unwrap()
@@ -1928,7 +1942,11 @@ impl<'a> ShardSim<'a> {
 
     /// An in-flight item lands: pop it off the wire into the destination
     /// queue, then dispatch the destination PE.
-    fn handle_channel_arrival<const OBS: bool, const TRC: bool>(&mut self, chan: u32) {
+    fn handle_channel_arrival<const OBS: bool, const TRC: bool>(
+        &mut self,
+        shared: &Shared,
+        chan: u32,
+    ) {
         let c = self.shared.channels[chan as usize];
         let (_seq, item) = self.wire[chan as usize]
             .pop_front()
@@ -1981,15 +1999,19 @@ impl<'a> ShardSim<'a> {
             }
         }
         self.mark_dirty(dn);
-        self.wake::<OBS, TRC>(self.shared.pe_of_node[dn]);
+        self.wake::<OBS, TRC>(shared, shared.pe_of_node[dn]);
     }
 
     /// A credit comes home: the channel's producer may have been blocked on
     /// it (it stayed dirty when declined for space), so dispatch its PE.
-    fn handle_credit_return<const OBS: bool, const TRC: bool>(&mut self, chan: u32) {
+    fn handle_credit_return<const OBS: bool, const TRC: bool>(
+        &mut self,
+        shared: &Shared,
+        chan: u32,
+    ) {
         self.credits[chan as usize] += 1;
         let src = self.shared.channels[chan as usize].src;
-        self.wake::<OBS, TRC>(self.shared.pe_of_node[src]);
+        self.wake::<OBS, TRC>(shared, shared.pe_of_node[src]);
     }
 
     /// After a firing consumed one item from each trigger port, schedule a
@@ -2022,11 +2044,11 @@ impl<'a> ShardSim<'a> {
     /// receives the item by move instead of clone+drop.
     fn route<const OBS: bool, const TRC: bool>(
         &mut self,
+        shared: &Shared,
         from: usize,
         mut emitted: Vec<(usize, Item)>,
         touched: &mut Vec<usize>,
     ) {
-        let shared = self.shared;
         let masks = shared.program.is_some();
         for (port, item) in emitted.drain(..) {
             let tok = match &item {
@@ -2117,7 +2139,11 @@ impl<'a> ShardSim<'a> {
     /// Attempt to start work on each PE in the worklist (popped from the
     /// back); starting a firing frees upstream queue space, so upstream
     /// PEs are re-attempted transitively. The caller recycles the vector.
-    fn dispatch_wave<const OBS: bool, const TRC: bool>(&mut self, worklist: &mut Vec<usize>) {
+    fn dispatch_wave<const OBS: bool, const TRC: bool>(
+        &mut self,
+        shared: &Shared,
+        worklist: &mut Vec<usize>,
+    ) {
         // An upstream wake's only new information is the space a firing's
         // consumption freed, so the untraced dispatcher wakes only
         // `space_waiting` producers (see the field's invariant). A *trace*
@@ -2134,7 +2160,7 @@ impl<'a> ShardSim<'a> {
             if self.pe_inflight[pe].is_some() {
                 continue;
             }
-            if let Some(node) = self.try_start::<OBS, TRC>(pe) {
+            if let Some(node) = self.try_start::<OBS, TRC>(shared, pe) {
                 for i in 0..self.shared.upstream[node].len() {
                     let up = self.shared.upstream[node][i];
                     if exhaustive || self.space_waiting[up] {
@@ -2244,11 +2270,14 @@ impl<'a> ShardSim<'a> {
     /// one it plans by trigger scan and fires through
     /// [`RtNode::execute_with_cost`]. Both return the same action, read
     /// words and cycles for the same state, so everything after is shared.
-    fn try_start<const OBS: bool, const TRC: bool>(&mut self, pe: usize) -> Option<usize> {
+    fn try_start<const OBS: bool, const TRC: bool>(
+        &mut self,
+        shared: &Shared,
+        pe: usize,
+    ) -> Option<usize> {
         if self.dirty_count[pe] == 0 {
             return None;
         }
-        let shared = self.shared;
         let len = shared.residents[pe].len();
         // Round-robin over the residents starting at `rr[pe]`, with the
         // wraparound as a compare instead of a modulo.
@@ -2737,89 +2766,110 @@ fn assemble_outcome(
     })
 }
 
-/// The timing-accurate simulator. Construct with a graph, a kernel-to-PE
-/// mapping, and a configuration, then [`run`](Self::run).
-pub struct TimedSimulator {
-    nodes: Vec<RtNode>,
-    shared: Shared,
+/// Every artifact of one run, from either engine: how it settled, the
+/// trace (when [`SimConfig::trace`] was set), the metrics tape (when
+/// [`SimConfig::metrics`] was set), and how the run was scheduled.
+#[derive(Debug)]
+pub struct RunArtifacts {
+    /// Completed with a [`SimReport`], or capacity-deadlocked with a
+    /// structured [`DeadlockReport`].
+    pub outcome: SimOutcome,
+    /// The recorded trace, up to the point of settlement.
+    pub trace: Option<Trace>,
+    /// The assembled metrics tape.
+    pub tape: Option<MetricsTape>,
+    /// Shards, windows and sync activity (the one-shard values for a
+    /// sequential run).
+    pub stats: ParallelRunStats,
 }
 
+/// The timing-accurate simulator: one engine owning every PE. Construct
+/// with a graph, a kernel-to-PE mapping, and a configuration, then either
+/// [`run`](Self::run) it to completion or advance it a bounded number of
+/// events at a time with [`step`](Self::step) and collect the result with
+/// [`run_artifacts`](Self::run_artifacts).
+///
+/// Stepping is chunk-invariant by construction: every `step` pops and
+/// handles exactly the events a one-shot run would have handled next, in
+/// the same `(t, ord)` order, with the same per-event code. The simulator
+/// owns its entire state, so interleaving other simulations between two
+/// steps — or moving it to another thread — cannot perturb it, and the
+/// report fingerprint, trace, and metrics tape equal a one-shot run's
+/// whatever the step sizes (DESIGN.md §16).
+pub struct TimedSimulator {
+    sim: ShardSim,
+    started: bool,
+}
+
+/// The earlier name of the resumable entry point: the same type as
+/// [`TimedSimulator`].
+pub type SteppableSim = TimedSimulator;
+
+// The simulator owns its state outright, so a fleet host may move a
+// stepped simulation between worker threads. Checked at compile time.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<TimedSimulator>();
+};
+
 impl TimedSimulator {
-    /// Instantiate the graph under the given mapping.
+    /// Instantiate the graph under the given mapping. No event is
+    /// processed until the first [`step`](Self::step) or run.
     pub fn new(graph: &AppGraph, mapping: &Mapping, config: SimConfig) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
-        Ok(Self { nodes, shared })
+        Ok(Self::from_parts(nodes, shared))
     }
 
     /// Wrap an already-instantiated program (the parallel simulator's
-    /// single-shard fallback).
+    /// single-shard fallback) in one shard owning every PE.
     pub(crate) fn from_parts(nodes: Vec<RtNode>, shared: Shared) -> Self {
-        Self { nodes, shared }
+        let shard_of_pe = vec![0; shared.residents.len()];
+        let nodes = Arc::new(DisjointSlots::new(nodes));
+        Self {
+            sim: ShardSim::new(Arc::new(shared), nodes, 0, shard_of_pe, None),
+            started: false,
+        }
     }
 
-    /// Run the simulation to completion and report. A capacity deadlock
-    /// becomes a simulation error carrying the rendered
-    /// [`DeadlockReport`]; use [`run_outcome`](Self::run_outcome) to get
-    /// the structured diagnosis instead.
-    pub fn run(self) -> Result<SimReport> {
-        self.run_with_trace().map(|(report, _)| report)
+    /// Advance the simulation by at most `max_events` events and return
+    /// how many were processed. The first call additionally fires the
+    /// startup constants and seeds the sources (outside the budget, as in
+    /// a one-shot run they precede the first pop). A short count means the
+    /// simulation settled: the queue drained before the budget did.
+    pub fn step(&mut self, max_events: usize) -> usize {
+        if !self.started {
+            self.started = true;
+            self.sim.init();
+        }
+        self.sim.run_budget(max_events)
     }
 
-    /// Run the simulation and report how it settled: completed, or
-    /// capacity-deadlocked with a structured [`DeadlockReport`].
-    pub fn run_outcome(self) -> SimOutcome {
-        self.run_outcome_with_trace().0
+    /// True when the simulation has settled: it was started and no pending
+    /// event remains. Further [`step`](Self::step) calls process nothing.
+    pub fn is_done(&mut self) -> bool {
+        self.started && self.sim.next_pending().is_infinite()
     }
 
-    /// Run the simulation and also return the recorded [`Trace`] when
-    /// [`SimConfig::trace`] was set (`None` otherwise). The report is
-    /// bit-identical to [`run`](Self::run)'s — tracing is inert.
-    pub fn run_with_trace(self) -> Result<(SimReport, Option<Trace>)> {
-        let (outcome, trace) = self.run_outcome_with_trace();
-        Ok((outcome.into_report()?, trace))
+    /// Current virtual time (timestamp of the last processed event).
+    pub fn now(&self) -> f64 {
+        self.sim.now()
     }
 
-    /// Run the simulation and also return the assembled [`MetricsTape`]
-    /// when [`SimConfig::with_metrics`] was set (`None` otherwise). The
-    /// report is bit-identical to [`run`](Self::run)'s — metrics
-    /// collection, like tracing, is inert.
-    pub fn run_with_metrics(self) -> Result<(SimReport, Option<MetricsTape>)> {
-        let (outcome, _, tape) = self.run_outcome_with_artifacts();
-        Ok((outcome.into_report()?, tape))
+    /// Total events processed so far.
+    pub fn events_processed(&self) -> u64 {
+        self.sim.processed()
     }
 
-    /// Run the simulation and return every observation artifact at once:
-    /// the report, the trace (when tracing), and the metrics tape (when a
-    /// metrics policy was set).
-    pub fn run_with_artifacts(self) -> Result<(SimReport, Option<Trace>, Option<MetricsTape>)> {
-        let (outcome, trace, tape) = self.run_outcome_with_artifacts();
-        Ok((outcome.into_report()?, trace, tape))
-    }
-
-    /// [`run_outcome`](Self::run_outcome), plus the recorded [`Trace`]
-    /// when tracing was enabled (recorded up to the point of settlement,
-    /// deadlocked or not).
-    pub fn run_outcome_with_trace(self) -> (SimOutcome, Option<Trace>) {
-        let (outcome, trace, _) = self.run_outcome_with_artifacts();
-        (outcome, trace)
-    }
-
-    /// The full artifact set from one sequential run: outcome, trace (when
-    /// tracing), and metrics tape (when a metrics policy was set).
-    pub(crate) fn run_outcome_with_artifacts(
-        self,
-    ) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
-        let Self { nodes, shared } = self;
-        // One shard owning every PE: the engine runs exactly the schedule
-        // documented at the top of this module.
-        let shard_of_pe = vec![0usize; shared.residents.len()];
-        let slots = DisjointSlots::new(nodes);
-        let mut outcome = {
-            let mut sim = ShardSim::new(&shared, &slots, 0, &shard_of_pe, None);
-            sim.run();
-            sim.into_outcome()
-        };
-        let nodes = slots.into_inner();
+    /// Process every remaining event (all of them, for a simulation never
+    /// stepped) and settle the run into its [`RunArtifacts`].
+    pub fn run_artifacts(mut self) -> RunArtifacts {
+        self.step(usize::MAX);
+        let shared = Arc::clone(&self.sim.shared);
+        let slots = Arc::clone(&self.sim.nodes);
+        let mut outcome = self.sim.into_outcome();
+        let nodes = Arc::into_inner(slots)
+            .expect("the engine released its node slots")
+            .into_inner();
         // The single shard records in global pop order, so its buffer is
         // already the canonical trace.
         let trace = outcome.trace.take().map(|rec| {
@@ -2836,8 +2886,43 @@ impl TimedSimulator {
                 dropped,
             }
         });
-        let (settled, tape) = settle(&shared, &nodes, outcome);
-        (settled, trace, tape)
+        let (outcome, tape) = settle(&shared, &nodes, outcome);
+        RunArtifacts {
+            outcome,
+            trace,
+            tape,
+            stats: ParallelRunStats::sequential(),
+        }
+    }
+
+    /// Run the simulation to completion and report. A capacity deadlock
+    /// becomes a simulation error carrying the rendered
+    /// [`DeadlockReport`]; [`run_artifacts`](Self::run_artifacts) keeps
+    /// the structured diagnosis instead.
+    pub fn run(self) -> Result<SimReport> {
+        self.run_artifacts().outcome.into_report()
+    }
+
+    /// [`run`](Self::run), plus the recorded [`Trace`] when
+    /// [`SimConfig::trace`] was set. Tracing is inert: the report is
+    /// bit-identical to an untraced run's.
+    pub fn run_with_trace(self) -> Result<(SimReport, Option<Trace>)> {
+        let a = self.run_artifacts();
+        Ok((a.outcome.into_report()?, a.trace))
+    }
+
+    /// [`run`](Self::run), plus the assembled [`MetricsTape`] when
+    /// [`SimConfig::with_metrics`] was set. Metrics, like tracing, are
+    /// inert.
+    pub fn run_with_metrics(self) -> Result<(SimReport, Option<MetricsTape>)> {
+        let a = self.run_artifacts();
+        Ok((a.outcome.into_report()?, a.tape))
+    }
+
+    /// [`run_with_metrics`](Self::run_with_metrics) under its earlier
+    /// name for ending a stepped run.
+    pub fn finish_report(self) -> Result<(SimReport, Option<MetricsTape>)> {
+        self.run_with_metrics()
     }
 }
 
@@ -2856,6 +2941,64 @@ mod tests {
         b.connect(src, "out", k, "in");
         b.connect(k, "out", snk, "in");
         b.build().unwrap()
+    }
+
+    /// Stepping in any chunk size reproduces the one-shot run bit for bit:
+    /// the report fingerprint and every trace event.
+    #[test]
+    fn stepped_run_matches_one_shot() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let config = SimConfig::new(2).with_trace(TraceOptions::default());
+        let (want, want_trace) = TimedSimulator::new(&g, &mapping, config.clone())
+            .unwrap()
+            .run_with_trace()
+            .unwrap();
+        let want_trace = want_trace.expect("traced");
+        assert!(!want_trace.events.is_empty());
+        for budget in [1usize, 3, 7, 1024] {
+            let mut sim = TimedSimulator::new(&g, &mapping, config.clone()).unwrap();
+            while !sim.is_done() {
+                sim.step(budget);
+            }
+            let a = sim.run_artifacts();
+            let report = a.outcome.into_report().unwrap();
+            assert_eq!(report.fingerprint(), want.fingerprint(), "budget {budget}");
+            let trace = a.trace.expect("a stepped run returns its trace");
+            assert_eq!(trace.events, want_trace.events, "budget {budget}");
+            assert_eq!(trace.dropped, want_trace.dropped, "budget {budget}");
+        }
+    }
+
+    /// A stepped simulation stays valid when moved between steps, and
+    /// `run_artifacts` finishes a partly stepped run.
+    #[test]
+    fn stepping_survives_moves() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let want = TimedSimulator::new(&g, &mapping, SimConfig::new(1))
+            .unwrap()
+            .run()
+            .unwrap()
+            .fingerprint();
+        let mut sim = TimedSimulator::new(&g, &mapping, SimConfig::new(1)).unwrap();
+        assert_eq!(sim.step(5), 5);
+        let mut moved = Box::new(sim);
+        moved.step(5);
+        let back = std::thread::spawn(move || *moved).join().unwrap();
+        assert_eq!(back.events_processed(), 10);
+        let report = back.run_artifacts().outcome.into_report().unwrap();
+        assert_eq!(report.fingerprint(), want);
+    }
+
+    #[test]
+    fn zero_frames_is_a_validation_error() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let err = TimedSimulator::new(&g, &mapping, SimConfig::new(0))
+            .err()
+            .expect("a zero-frame run is rejected");
+        assert!(matches!(err, BpError::Validation(_)), "{err}");
     }
 
     #[test]

@@ -45,20 +45,20 @@
 //! trace is already in canonical pop order; the parallel workers never
 //! trace.
 
-use crate::deadlock::SimOutcome;
 use crate::parallel::DisjointSlots;
 use crate::runtime::RtNode;
 use crate::stats::{PeStats, SimReport};
 use crate::timed::{
-    build_shared, settle, OutMsg, ShardOutcome, ShardSim, Shared, SimConfig, TimedSimulator,
+    build_shared, settle, Inboxes, RunArtifacts, ShardOutcome, ShardSim, Shared, SimConfig,
+    TimedSimulator,
 };
-use crate::trace::{Trace, TraceOptions};
+use crate::trace::Trace;
 use bp_core::graph::AppGraph;
 use bp_core::machine::{Mapping, ShardPlan, SyncMode};
 use bp_core::Result;
 use bp_metrics::{MetricsRecorder, MetricsTape};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// Cap on speculative execution batches per synchronization round under
 /// optimistic sync. Each batch runs up to one checkpoint interval of
@@ -100,6 +100,19 @@ pub struct ParallelRunStats {
     pub sync_counters: bp_metrics::SyncCounters,
 }
 
+impl ParallelRunStats {
+    /// The stats of a run on the sequential engine: one shard, no windows.
+    pub(crate) fn sequential() -> Self {
+        Self {
+            shards: 1,
+            lookahead_s: f64::INFINITY,
+            windows: 0,
+            shard_events: Vec::new(),
+            sync_counters: bp_metrics::SyncCounters::default(),
+        }
+    }
+}
+
 /// Timed simulator that executes independent PE interaction regions on
 /// worker threads. Produces bitwise-identical [`SimReport`]s to
 /// [`TimedSimulator`] for every graph, mapping, and thread count.
@@ -121,31 +134,6 @@ impl ParallelTimedSimulator {
         config: SimConfig,
         threads: usize,
     ) -> Result<Self> {
-        Self::build(graph, mapping, config, threads, &[])
-    }
-
-    /// Like [`new`](Self::new), but balance shards by per-node profiling
-    /// weights (e.g. traced event counts from
-    /// [`profile_node_weights`]) instead of resident-node counts. The
-    /// weighting changes only which worker runs which component — results
-    /// stay bitwise identical to the sequential engine.
-    pub fn new_weighted(
-        graph: &AppGraph,
-        mapping: &Mapping,
-        config: SimConfig,
-        threads: usize,
-        node_weights: &[u64],
-    ) -> Result<Self> {
-        Self::build(graph, mapping, config, threads, node_weights)
-    }
-
-    fn build(
-        graph: &AppGraph,
-        mapping: &Mapping,
-        config: SimConfig,
-        threads: usize,
-        node_weights: &[u64],
-    ) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
         // Shards must not be split across *direct* (zero-latency) channels
         // — those deliver synchronously. Delayed channels are exactly the
@@ -160,7 +148,7 @@ impl ParallelTimedSimulator {
             .map(|c| (c.src, c.dst))
             .collect();
         edges.extend(graph.dep_edges().iter().map(|d| (d.src.0, d.dst.0)));
-        let plan = ShardPlan::build_weighted(mapping, &edges, threads.max(1), node_weights);
+        let plan = ShardPlan::build(mapping, &edges, threads.max(1));
         Ok(Self {
             nodes,
             shared,
@@ -220,81 +208,42 @@ impl ParallelTimedSimulator {
 
     /// Run the simulation to completion and report. A capacity deadlock
     /// becomes a simulation error carrying the rendered
-    /// [`DeadlockReport`](crate::deadlock::DeadlockReport); use
-    /// [`run_outcome`](Self::run_outcome) for the structured diagnosis.
+    /// [`DeadlockReport`](crate::deadlock::DeadlockReport);
+    /// [`run_artifacts`](Self::run_artifacts) keeps the structured
+    /// diagnosis instead.
     pub fn run(self) -> Result<SimReport> {
-        self.run_with_stats().map(|(report, _, _)| report)
+        self.run_artifacts().outcome.into_report()
     }
 
-    /// Run the simulation and report how it settled: completed, or
-    /// capacity-deadlocked with a structured
-    /// [`DeadlockReport`](crate::deadlock::DeadlockReport). The outcome —
-    /// deadlock diagnosis included — is assembled from the merged shard
-    /// state and is bitwise identical to the sequential engine's at any
-    /// thread count.
-    pub fn run_outcome(self) -> SimOutcome {
-        self.run_outcome_with_stats().0
-    }
-
-    /// Run the simulation and also return the [`Trace`] when
-    /// [`SimConfig::trace`] was set (`None` otherwise). A traced run
-    /// executes on the sequential engine, so the trace is the sequential
-    /// engine's, bit for bit, at any thread count.
+    /// [`run`](Self::run), plus the [`Trace`] when [`SimConfig::trace`]
+    /// was set. A traced run executes on the sequential engine, so the
+    /// trace is the sequential engine's, bit for bit, at any thread count.
     pub fn run_with_trace(self) -> Result<(SimReport, Option<Trace>)> {
-        self.run_with_stats()
-            .map(|(report, trace, _)| (report, trace))
+        let a = self.run_artifacts();
+        Ok((a.outcome.into_report()?, a.trace))
     }
 
-    /// Run and additionally return [`ParallelRunStats`] describing the
-    /// parallel schedule (shards, lookahead, windows, per-shard events).
-    pub fn run_with_stats(self) -> Result<(SimReport, Option<Trace>, ParallelRunStats)> {
-        let (outcome, trace, _, stats) = self.run_outcome_with_artifacts();
-        Ok((outcome.into_report()?, trace, stats))
-    }
-
-    /// Run the simulation and also return the merged [`MetricsTape`] when
-    /// [`SimConfig::with_metrics`] was set (`None` otherwise). Per-shard
-    /// recorders are merged into exactly the recorder a sequential run
-    /// produces, so the tape is bitwise identical at any thread count,
-    /// and the report is bit-identical to [`run`](Self::run)'s.
+    /// [`run`](Self::run), plus the merged [`MetricsTape`] when
+    /// [`SimConfig::with_metrics`] was set. Per-shard recorders merge into
+    /// exactly the recorder a sequential run produces, so the tape is
+    /// bitwise identical at any thread count.
     pub fn run_with_metrics(self) -> Result<(SimReport, Option<MetricsTape>)> {
-        let (outcome, _, tape, _) = self.run_outcome_with_artifacts();
-        Ok((outcome.into_report()?, tape))
+        let a = self.run_artifacts();
+        Ok((a.outcome.into_report()?, a.tape))
     }
 
-    /// [`run_outcome`](Self::run_outcome), plus the trace (when tracing
-    /// was enabled) and the [`ParallelRunStats`].
-    pub fn run_outcome_with_stats(self) -> (SimOutcome, Option<Trace>, ParallelRunStats) {
-        let (outcome, trace, _, stats) = self.run_outcome_with_artifacts();
-        (outcome, trace, stats)
+    /// [`run_with_trace`](Self::run_with_trace), plus the
+    /// [`ParallelRunStats`] describing the parallel schedule.
+    pub fn run_with_stats(self) -> Result<(SimReport, Option<Trace>, ParallelRunStats)> {
+        let a = self.run_artifacts();
+        Ok((a.outcome.into_report()?, a.trace, a.stats))
     }
 
-    /// Every artifact from one run: the outcome, the trace (when tracing
-    /// was enabled), the merged metrics tape (when a metrics
-    /// policy was set), and the schedule stats. One call, one simulation —
-    /// the differential suites use this to compare every deterministic
-    /// surface of a single run against the sequential oracle's.
-    pub fn run_with_artifacts(
-        self,
-    ) -> (
-        SimOutcome,
-        Option<Trace>,
-        Option<MetricsTape>,
-        ParallelRunStats,
-    ) {
-        self.run_outcome_with_artifacts()
-    }
-
-    /// The full artifact set from one parallel run: outcome, trace, merged
-    /// metrics tape, and schedule stats.
-    fn run_outcome_with_artifacts(
-        self,
-    ) -> (
-        SimOutcome,
-        Option<Trace>,
-        Option<MetricsTape>,
-        ParallelRunStats,
-    ) {
+    /// Run the simulation and return every artifact of the run. The
+    /// outcome — deadlock diagnosis included — the trace and the tape are
+    /// bitwise identical to the sequential engine's at any thread count;
+    /// only the schedule stats describe the parallel run itself.
+    pub fn run_artifacts(self) -> RunArtifacts {
         let sequential = self.num_shards() <= 1;
         let Self {
             nodes,
@@ -302,16 +251,7 @@ impl ParallelTimedSimulator {
             plan,
         } = self;
         if sequential {
-            let (outcome, trace, tape) =
-                TimedSimulator::from_parts(nodes, shared).run_outcome_with_artifacts();
-            let stats = ParallelRunStats {
-                shards: 1,
-                lookahead_s: f64::INFINITY,
-                windows: 0,
-                shard_events: Vec::new(),
-                sync_counters: bp_metrics::SyncCounters::default(),
-            };
-            return (outcome, trace, tape, stats);
+            return TimedSimulator::from_parts(nodes, shared).run_artifacts();
         }
         let n = nodes.len();
         let num_pes = shared.residents.len();
@@ -329,9 +269,10 @@ impl ParallelTimedSimulator {
             })
             .map(|c| c.latency_s)
             .fold(f64::INFINITY, f64::min);
-        let slots = DisjointSlots::new(nodes);
+        let shared = Arc::new(shared);
+        let slots = Arc::new(DisjointSlots::new(nodes));
         // Cross-shard communication inboxes, one per destination shard.
-        let inboxes: Vec<Mutex<Vec<OutMsg>>> = (0..plan.num_shards)
+        let inboxes: Inboxes = (0..plan.num_shards)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         // Per-shard published timestamps (f64 bits): the earliest pending
@@ -362,17 +303,20 @@ impl ParallelTimedSimulator {
         let mut outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..plan.num_shards)
                 .map(|shard| {
-                    let (shared, slots) = (&shared, &slots);
-                    let (inboxes, barrier) = (&inboxes[..], &barrier);
-                    let (next_t, min_out) = (&next_t[..], &min_out[..]);
+                    let (shared, slots, inboxes) = (&shared, &slots, &inboxes);
+                    let (next_t, min_out, barrier) = (&next_t[..], &min_out[..], &barrier);
                     let (window, stop, gvt) = (&window, &stop, &gvt);
                     let shard_of_pe = &plan.shard_of_pe[..];
                     scope.spawn(move || {
-                        if shared.pin_workers {
-                            crate::affinity::pin_current_thread(shard);
-                        }
-                        let mut sim =
-                            ShardSim::new(shared, slots, shard, shard_of_pe, Some(inboxes));
+                        // Built on the worker, so its state is allocated
+                        // by the thread that uses it.
+                        let mut sim = ShardSim::new(
+                            Arc::clone(shared),
+                            Arc::clone(slots),
+                            shard,
+                            shard_of_pe.to_vec(),
+                            Some(Arc::clone(inboxes)),
+                        );
                         sim.init();
                         if optimistic {
                             sim.opt_enable();
@@ -476,7 +420,9 @@ impl ParallelTimedSimulator {
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         });
-        let nodes = slots.into_inner();
+        let nodes = Arc::into_inner(slots)
+            .expect("every shard released the node slots")
+            .into_inner();
 
         // Disjoint merge: every PE (and node) is written by exactly one
         // shard; take its entries from the owner.
@@ -568,22 +514,11 @@ impl ParallelTimedSimulator {
             sync,
         };
         let (outcome, tape) = settle(&shared, &nodes, merged);
-        (outcome, None, tape, run_stats)
+        RunArtifacts {
+            outcome,
+            trace: None,
+            tape,
+            stats: run_stats,
+        }
     }
-}
-
-/// Run a sequential traced pre-run of `graph` under `mapping` and return
-/// each node's traced event count — the profiling weights for
-/// [`ParallelTimedSimulator::new_weighted`] (ROADMAP: event-rate-aware
-/// shard balancing). The pre-run uses the same configuration as the real
-/// run, so its event distribution is exactly what the parallel run will
-/// execute.
-pub fn profile_node_weights(
-    graph: &AppGraph,
-    mapping: &Mapping,
-    config: SimConfig,
-) -> Result<Vec<u64>> {
-    let config = config.with_trace(TraceOptions::default());
-    let (_, trace) = TimedSimulator::new(graph, mapping, config)?.run_with_trace()?;
-    Ok(trace.expect("tracing was enabled").node_event_counts())
 }

@@ -16,10 +16,9 @@
 //! sequential one at any thread count, dropped events included
 //! ([`Trace::dropped`]).
 //!
-//! On top of the raw stream, [`Trace`] derives the metrics the ROADMAP
-//! items need: per-node event counts (the profiling weights for
-//! [`bp_core::machine::ShardPlan::build_weighted`]), per-channel occupancy
-//! high-water marks, and sliding-window PE utilization. The
+//! On top of the raw stream, [`Trace`] derives per-node event counts,
+//! per-channel occupancy high-water marks, and sliding-window PE
+//! utilization. The
 //! [`crate::chrome`] module exports the stream as Chrome trace-event JSON
 //! loadable in Perfetto.
 
@@ -444,11 +443,7 @@ impl Trace {
     }
 
     /// Total traced events attributed to each node (firings, queue
-    /// movement, token arrivals). This is the profiling weight the
-    /// event-rate-aware shard planner consumes
-    /// ([`bp_core::machine::ShardPlan::build_weighted`]): a pre-run's
-    /// counts balance shards by observed simulation work instead of
-    /// resident-node count.
+    /// movement, token arrivals): where a run's simulation work went.
     pub fn node_event_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.meta.node_names.len()];
         for e in &self.events {

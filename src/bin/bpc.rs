@@ -41,7 +41,6 @@ struct Args {
     quiet: bool,
     threads: usize,
     sync: SyncMode,
-    pin_workers: bool,
 }
 
 fn usage() -> ! {
@@ -53,7 +52,7 @@ fn usage() -> ! {
          \x20          [--backend auto|interpreted|compiled]\n\
          \x20          [--metrics[=FILE]] [--snapshot-every N]\n\
          \x20          [--capacity N] [--explain-deadlock] [--quiet]\n\
-         \x20          [--threads N] [--sync conservative|optimistic] [--pin-workers]\n\
+         \x20          [--threads N] [--sync conservative|optimistic]\n\
          \x20  --trace FILE  record a deterministic event trace and write it as\n\
          \x20                Chrome trace-event JSON (open in https://ui.perfetto.dev)\n\
          \x20  --metrics     collect always-on runtime metrics and print the\n\
@@ -79,9 +78,7 @@ fn usage() -> ! {
          \x20                global event order)\n\
          \x20  --sync        cross-shard synchronization: conservative (default;\n\
          \x20                lookahead windows) | optimistic (Time Warp: speculate\n\
-         \x20                past the window, checkpoint, roll back on stragglers)\n\
-         \x20  --pin-workers pin each worker thread to a core (Linux; no-op\n\
-         \x20                elsewhere)"
+         \x20                past the window, checkpoint, roll back on stragglers)"
     );
     std::process::exit(2);
 }
@@ -106,7 +103,6 @@ fn parse_args() -> Args {
         quiet: false,
         threads: 1,
         sync: SyncMode::Conservative,
-        pin_workers: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -127,7 +123,13 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--frames" => args.frames = value("--frames").parse().unwrap_or_else(|_| usage()),
+            "--frames" => {
+                args.frames = value("--frames").parse().unwrap_or_else(|_| usage());
+                if args.frames == 0 {
+                    eprintln!("--frames must be at least 1");
+                    usage()
+                }
+            }
             "--policy" => {
                 args.policy = match value("--policy").as_str() {
                     "trim" => AlignPolicy::Trim,
@@ -195,7 +197,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--pin-workers" => args.pin_workers = true,
             "--explain-deadlock" => args.explain_deadlock = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => usage(),
@@ -324,11 +325,28 @@ fn main() -> ExitCode {
         }
         config = config.with_metrics(policy);
     }
-    config = config
-        .with_sync(args.sync)
-        .with_pinned_workers(args.pin_workers);
-    let explain = |outcome: SimOutcome| -> ExitCode {
-        match outcome {
+    config = config.with_sync(args.sync);
+    // One entry point for every thread count (one thread runs the
+    // sequential engine). Reports, traces, and tapes are bitwise identical
+    // at any count (a traced run executes sequentially); the stats add the
+    // parallel run's synchronization activity.
+    let sim =
+        match ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, args.threads)
+        {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("simulation error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+    let RunArtifacts {
+        outcome,
+        trace,
+        tape,
+        stats,
+    } = sim.run_artifacts();
+    if args.explain_deadlock {
+        return match outcome {
             SimOutcome::Deadlocked(d) => {
                 print_deadlock(&d);
                 ExitCode::SUCCESS
@@ -340,128 +358,81 @@ fn main() -> ExitCode {
                 );
                 ExitCode::FAILURE
             }
+        };
+    }
+    let report = match outcome.into_report() {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("simulation error: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    // Both engines produce bitwise-identical reports, traces, and tapes
-    // (a traced run executes sequentially whatever the thread count); the
-    // parallel one additionally reports its synchronization activity.
-    let (report, trace, tape, sync) = if args.threads > 1 {
-        let sim = match ParallelTimedSimulator::new(
-            &compiled.graph,
-            &compiled.mapping,
-            config,
-            args.threads,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("simulation error: {e}");
+    let (run, read, write) = report.utilization_breakdown();
+    println!(
+        "real-time {}: required {:.1} Hz, achieved {:.1} Hz, {} violations, \
+         {} budget overruns",
+        if report.verdict.met { "MET" } else { "MISSED" },
+        report.verdict.required_rate_hz,
+        report.verdict.achieved_rate_hz,
+        report.verdict.violations,
+        report.total_budget_overruns(),
+    );
+    println!(
+        "utilization {:.1}% (run {:.1}% / read {:.1}% / write {:.1}% / idle {:.1}%) \
+         on {} PEs",
+        100.0 * (run + read + write),
+        100.0 * run,
+        100.0 * read,
+        100.0 * write,
+        100.0 * (1.0 - run - read - write),
+        report.num_pes()
+    );
+    for (name, observed, declared) in &report.token_rate_violations {
+        println!(
+            "token-rate violation: {name} emitted {observed:.1} Hz \
+             against a declared {declared:.1} Hz"
+        );
+    }
+    if let Some(tape) = &tape {
+        let node_names: Vec<String> = compiled
+            .graph
+            .nodes()
+            .map(|(_, n)| n.name.clone())
+            .collect();
+        print!("{}", tape.summary(&node_names));
+        if let Some(Some(path)) = &args.metrics {
+            if let Err(e) = std::fs::write(path, tape.to_jsonl()) {
+                eprintln!("failed to write {path}: {e}");
                 return ExitCode::FAILURE;
-            }
-        };
-        if args.explain_deadlock {
-            return explain(sim.run_outcome());
-        }
-        let (outcome, trace, tape, stats) = sim.run_with_artifacts();
-        match outcome.into_report() {
-            Ok(report) => (report, trace, tape, Some(stats.sync_counters)),
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let sim = match TimedSimulator::new(&compiled.graph, &compiled.mapping, config) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if args.explain_deadlock {
-            return explain(sim.run_outcome());
-        }
-        match sim.run_with_artifacts() {
-            Ok((report, trace, tape)) => (report, trace, tape, None),
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    {
-        {
-            let (run, read, write) = report.utilization_breakdown();
-            println!(
-                "real-time {}: required {:.1} Hz, achieved {:.1} Hz, {} violations, \
-                 {} budget overruns",
-                if report.verdict.met { "MET" } else { "MISSED" },
-                report.verdict.required_rate_hz,
-                report.verdict.achieved_rate_hz,
-                report.verdict.violations,
-                report.total_budget_overruns(),
-            );
-            println!(
-                "utilization {:.1}% (run {:.1}% / read {:.1}% / write {:.1}% / idle {:.1}%) \
-                 on {} PEs",
-                100.0 * (run + read + write),
-                100.0 * run,
-                100.0 * read,
-                100.0 * write,
-                100.0 * (1.0 - run - read - write),
-                report.num_pes()
-            );
-            for (name, observed, declared) in &report.token_rate_violations {
-                println!(
-                    "token-rate violation: {name} emitted {observed:.1} Hz \
-                     against a declared {declared:.1} Hz"
-                );
-            }
-            if let Some(tape) = &tape {
-                let node_names: Vec<String> = compiled
-                    .graph
-                    .nodes()
-                    .map(|(_, n)| n.name.clone())
-                    .collect();
-                print!("{}", tape.summary(&node_names));
-                if let Some(Some(path)) = &args.metrics {
-                    if let Err(e) = std::fs::write(path, tape.to_jsonl()) {
-                        eprintln!("failed to write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    if !args.quiet {
-                        println!(
-                            "wrote {path}: {} snapshot(s), digest {:016x}",
-                            tape.snapshots.len(),
-                            tape.digest()
-                        );
-                    }
-                }
-            }
-            if let (Some(path), Some(trace)) = (&args.trace, trace) {
-                if let Err(code) = write_trace(path, &trace, args.quiet) {
-                    return code;
-                }
             }
             if !args.quiet {
-                if let Some(s) = sync.filter(SyncCounters::any) {
-                    println!(
-                        "optimistic sync: {} rollback(s) undid {} event(s), \
-                         {} anti-message(s), {} checkpoint(s) ({} fossil), {} stall(s)",
-                        s.rollbacks,
-                        s.events_rolled_back,
-                        s.antis_sent,
-                        s.checkpoints,
-                        s.fossils,
-                        s.stalls,
-                    );
-                }
-            }
-            if report.verdict.met {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+                println!(
+                    "wrote {path}: {} snapshot(s), digest {:016x}",
+                    tape.snapshots.len(),
+                    tape.digest()
+                );
             }
         }
+    }
+    if let (Some(path), Some(trace)) = (&args.trace, trace) {
+        if let Err(code) = write_trace(path, &trace, args.quiet) {
+            return code;
+        }
+    }
+    if !args.quiet {
+        let s = stats.sync_counters;
+        if s.any() {
+            println!(
+                "optimistic sync: {} rollback(s) undid {} event(s), \
+                 {} anti-message(s), {} checkpoint(s) ({} fossil), {} stall(s)",
+                s.rollbacks, s.events_rolled_back, s.antis_sent, s.checkpoints, s.fossils, s.stalls,
+            );
+        }
+    }
+    if report.verdict.met {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -530,7 +501,13 @@ fn serve_main() -> ExitCode {
                 })
             }
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| serve_usage()),
-            "--frames" => frames = value("--frames").parse().unwrap_or_else(|_| serve_usage()),
+            "--frames" => {
+                frames = value("--frames").parse().unwrap_or_else(|_| serve_usage());
+                if frames == 0 {
+                    eprintln!("--frames must be at least 1");
+                    serve_usage()
+                }
+            }
             "--workers" => workers = value("--workers").parse().unwrap_or_else(|_| serve_usage()),
             "--budget" => budget = value("--budget").parse().unwrap_or_else(|_| serve_usage()),
             "--max-active" => {

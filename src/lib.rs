@@ -57,9 +57,9 @@ pub mod prelude {
         Margins, PadMode, SinkHandle,
     };
     pub use bp_sim::{
-        chrome_trace_json, profile_node_weights, validate_json, Backend, CapacityBump, DeadlockHop,
-        DeadlockReport, FunctionalExecutor, MetricsPolicy, MetricsTape, ParallelRunStats,
-        ParallelTimedSimulator, QosSpec, SimConfig, SimOutcome, SimReport, StallCause,
-        StragglerPolicy, SyncCounters, SyncMode, TimedSimulator, Trace, TraceOptions,
+        chrome_trace_json, validate_json, Backend, CapacityBump, DeadlockHop, DeadlockReport,
+        FunctionalExecutor, MetricsPolicy, MetricsTape, ParallelRunStats, ParallelTimedSimulator,
+        QosSpec, RunArtifacts, SimConfig, SimOutcome, SimReport, StallCause, StragglerPolicy,
+        SyncCounters, SyncMode, TimedSimulator, Trace, TraceOptions,
     };
 }

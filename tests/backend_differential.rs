@@ -70,38 +70,33 @@ fn config_with(comm: &CommModel, backend: Backend) -> SimConfig {
         .with_backend(backend)
 }
 
-/// Run `name` under `comm` on the given backend — sequentially
-/// (`threads = None`) or on the parallel engine — returning the report
-/// result plus the sink item streams.
+/// Run `name` under `comm` on the given backend and worker-thread count
+/// (1 runs the sequential engine), returning the report result plus the
+/// sink item streams.
 fn run(
     name: &str,
     comm: &CommModel,
     backend: Backend,
-    threads: Option<usize>,
+    threads: usize,
 ) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>) {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     let config = config_with(comm, backend);
-    let out = match threads {
-        None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-            .expect("instantiate")
-            .run(),
-        Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-            .expect("instantiate")
-            .run(),
-    };
+    let out = ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
+        .expect("instantiate")
+        .run();
     let items = app.sinks.iter().map(|(_, h)| h.items()).collect();
     (out, items)
 }
 
 /// The core guarantee: for every app × comm model, the mask planner's
-/// report fingerprint and sink items equal the scan planner's —
-/// sequentially and at 1, 2, 4, and 8 worker threads.
+/// report fingerprint and sink items equal the scan planner's at 1 (the
+/// sequential engine), 2, 4, and 8 worker threads.
 #[test]
 fn compiled_matches_interpreted_everywhere() {
     for &name in EXAMPLE_APPS {
         for (mname, comm) in models() {
-            let (oracle, oracle_items) = run(name, &comm, Backend::Interpreted, None);
+            let (oracle, oracle_items) = run(name, &comm, Backend::Interpreted, 1);
             let check = |label: &str, got: &bp_core::Result<SimReport>, items: &Vec<Vec<Item>>| {
                 match (&oracle, got) {
                     (Ok(o), Ok(c)) => assert_eq!(
@@ -124,10 +119,8 @@ fn compiled_matches_interpreted_everywhere() {
                     "{name} under {mname} ({label}): sink items diverged"
                 );
             };
-            let (seq, seq_items) = run(name, &comm, Backend::Compiled, None);
-            check("sequential", &seq, &seq_items);
             for threads in [1usize, 2, 4, 8] {
-                let (par, par_items) = run(name, &comm, Backend::Compiled, Some(threads));
+                let (par, par_items) = run(name, &comm, Backend::Compiled, threads);
                 check(&format!("{threads} threads"), &par, &par_items);
             }
         }
@@ -175,29 +168,25 @@ fn compiled_traces_are_bitwise_identical() {
 #[test]
 fn compiled_deadlock_reports_are_identical() {
     let comm = CommModel::uniform(64e-9, 1e-9);
-    let outcome_of = |backend: Backend, threads: Option<usize>| -> SimOutcome {
+    let outcome_of = |backend: Backend, threads: usize| -> SimOutcome {
         let app = build_example("temporal_iir");
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         let config = config_with(&comm, backend).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run_outcome(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run_outcome(),
-        }
+        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
+            .expect("instantiate")
+            .run_artifacts()
+            .outcome
     };
-    let SimOutcome::Deadlocked(oracle) = outcome_of(Backend::Interpreted, None) else {
+    let SimOutcome::Deadlocked(oracle) = outcome_of(Backend::Interpreted, 1) else {
         panic!("temporal_iir must capacity-deadlock when pinned to 64");
     };
-    for threads in [None, Some(2), Some(8)] {
+    for threads in [1, 2, 8] {
         let SimOutcome::Deadlocked(got) = outcome_of(Backend::Compiled, threads) else {
-            panic!("compiled backend did not deadlock ({threads:?})");
+            panic!("compiled backend did not deadlock ({threads} threads)");
         };
         assert_eq!(
             oracle, got,
-            "DeadlockReport diverged on the compiled backend ({threads:?})"
+            "DeadlockReport diverged on the compiled backend ({threads} threads)"
         );
     }
 }
@@ -209,8 +198,8 @@ fn compiled_deadlock_reports_are_identical() {
 #[test]
 fn compiled_feedback_capacities_complete_identically() {
     for (mname, comm) in models() {
-        let (oracle, oracle_items) = run("temporal_iir", &comm, Backend::Interpreted, None);
-        let (got, got_items) = run("temporal_iir", &comm, Backend::Compiled, None);
+        let (oracle, oracle_items) = run("temporal_iir", &comm, Backend::Interpreted, 1);
+        let (got, got_items) = run("temporal_iir", &comm, Backend::Compiled, 1);
         let o = oracle.expect("temporal_iir completes under derived capacities");
         let c = got.expect("compiled temporal_iir completes");
         assert_eq!(
@@ -257,35 +246,30 @@ fn over_wide_graph() -> (AppGraph, Mapping, k::SinkHandle) {
 #[test]
 fn over_wide_kernels_fall_back_to_the_scan_planner() {
     for (mname, comm) in models() {
-        let run = |backend: Backend, threads: Option<usize>| {
+        let run = |backend: Backend, threads: usize| {
             let (graph, mapping, handle) = over_wide_graph();
             let config = config_with(&comm, backend);
-            let report = match threads {
-                None => TimedSimulator::new(&graph, &mapping, config)
-                    .expect("instantiate")
-                    .run(),
-                Some(t) => ParallelTimedSimulator::new(&graph, &mapping, config, t)
-                    .expect("instantiate")
-                    .run(),
-            }
-            .expect("over-wide graph runs");
+            let report = ParallelTimedSimulator::new(&graph, &mapping, config, threads)
+                .expect("instantiate")
+                .run()
+                .expect("over-wide graph runs");
             (
                 report.fingerprint(),
                 report.frames_completed,
                 handle.items(),
             )
         };
-        let (oracle, frames, items) = run(Backend::Interpreted, None);
+        let (oracle, frames, items) = run(Backend::Interpreted, 1);
         assert_eq!(frames, FRAMES, "{mname}: every frame completes");
         assert!(!items.is_empty(), "{mname}: the sink saw the stream");
         for (backend, threads) in [
-            (Backend::Interpreted, Some(2)),
-            (Backend::Auto, None),
-            (Backend::Auto, Some(2)),
+            (Backend::Interpreted, 2),
+            (Backend::Auto, 1),
+            (Backend::Auto, 2),
         ] {
             let (fp, _, got) = run(backend, threads);
-            assert_eq!(oracle, fp, "{mname} {backend:?} {threads:?}: fingerprint");
-            assert_eq!(items, got, "{mname} {backend:?} {threads:?}: sink items");
+            assert_eq!(oracle, fp, "{mname} {backend:?} {threads}t: fingerprint");
+            assert_eq!(items, got, "{mname} {backend:?} {threads}t: sink items");
         }
         let (graph, mapping, _) = over_wide_graph();
         let config = config_with(&comm, Backend::Compiled);

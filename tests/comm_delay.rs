@@ -26,8 +26,8 @@ use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, ControlToken, Dim2, GraphBuilder, Item, Mapping, ShardPlan};
 use bp_sim::{
-    ParallelRunStats, ParallelTimedSimulator, SimConfig, SimReport, SteppableSim, TimedSimulator,
-    TraceEvent, TraceOptions,
+    ParallelRunStats, ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator, TraceEvent,
+    TraceOptions,
 };
 
 const FRAMES: u32 = 2;
@@ -97,23 +97,23 @@ fn run_par(
 ) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>, ParallelRunStats) {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let (outcome, _, stats) = ParallelTimedSimulator::new(
+    let run = ParallelTimedSimulator::new(
         &compiled.graph,
         &compiled.mapping,
         config_with(comm),
         threads,
     )
     .expect("instantiate")
-    .run_outcome_with_stats();
+    .run_artifacts();
     let items = app.sinks.iter().map(|(_, h)| h.items()).collect();
-    (outcome.into_report(), items, stats)
+    (run.outcome.into_report(), items, run.stats)
 }
 
 /// Events the sequential engine processes for `name` under `comm`.
 fn seq_events(name: &str, comm: &CommModel) -> u64 {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let mut sim = SteppableSim::new(&compiled.graph, &compiled.mapping, config_with(comm))
+    let mut sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config_with(comm))
         .expect("instantiate");
     while !sim.is_done() {
         sim.step(1 << 16);
@@ -333,20 +333,15 @@ fn connected_app_fans_out_under_positive_lookahead() {
 #[test]
 fn deadlock_diagnostic_is_stable_under_delay() {
     let comm = CommModel::uniform(64e-9, 1e-9);
-    let run = |threads: Option<usize>| -> bp_core::Result<SimReport> {
+    let run = |threads: usize| -> bp_core::Result<SimReport> {
         let app = build_example("temporal_iir");
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         let config = config_with(&comm).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run(),
-        }
+        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
+            .expect("instantiate")
+            .run()
     };
-    let seq_err = run(None)
+    let seq_err = run(1)
         .expect_err("temporal_iir deadlocks at SMALL/SLOW when pinned to 64")
         .to_string();
     assert!(
@@ -364,7 +359,7 @@ fn deadlock_diagnostic_is_stable_under_delay() {
         );
     }
     for threads in [2usize, 8] {
-        let par_err = run(Some(threads))
+        let par_err = run(threads)
             .expect_err("parallel engine must also deadlock")
             .to_string();
         assert_eq!(

@@ -20,7 +20,7 @@
 use bp_apps::{apps, App, BIG, FAST, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2};
-use bp_sim::{DeadlockReport, ParallelTimedSimulator, SimConfig, SimOutcome, TimedSimulator};
+use bp_sim::{DeadlockReport, ParallelTimedSimulator, SimConfig, SimOutcome};
 
 const FRAMES: u32 = 2;
 
@@ -32,18 +32,14 @@ fn models() -> Vec<(&'static str, CommModel)> {
     ]
 }
 
-fn run_iir(dim: Dim2, rate: f64, comm: &CommModel, threads: Option<usize>) -> SimOutcome {
+fn run_iir(dim: Dim2, rate: f64, comm: &CommModel, threads: usize) -> SimOutcome {
     let app = apps::temporal_iir(dim, rate);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     let config = SimConfig::new(FRAMES).with_comm(comm.clone());
-    match threads {
-        None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-            .expect("instantiate")
-            .run_outcome(),
-        Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-            .expect("instantiate")
-            .run_outcome(),
-    }
+    ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
+        .expect("instantiate")
+        .run_artifacts()
+        .outcome
 }
 
 /// Guarantee 1: the derived plan keeps `temporal_iir` live everywhere the
@@ -57,7 +53,7 @@ fn temporal_iir_completes_at_every_preset_point() {
     // capacity question.
     for (dim, rate) in [(SMALL, SLOW), (SMALL, FAST), (BIG, SLOW)] {
         for (mname, comm) in models() {
-            let seq = match run_iir(dim, rate, &comm, None) {
+            let seq = match run_iir(dim, rate, &comm, 1) {
                 SimOutcome::Completed(report) => report,
                 SimOutcome::Deadlocked(d) => panic!(
                     "temporal_iir {}x{} @ {rate} Hz under {mname} deadlocked \
@@ -67,8 +63,8 @@ fn temporal_iir_completes_at_every_preset_point() {
                     d.render()
                 ),
             };
-            for threads in [1usize, 2, 4, 8] {
-                match run_iir(dim, rate, &comm, Some(threads)) {
+            for threads in [2usize, 4, 8] {
+                match run_iir(dim, rate, &comm, threads) {
                     SimOutcome::Completed(par) => assert_eq!(
                         seq.fingerprint(),
                         par.fingerprint(),
@@ -103,20 +99,16 @@ fn deadlocked(outcome: SimOutcome, who: &str) -> DeadlockReport {
 /// the minimal capacity bump.
 #[test]
 fn pinned_capacity_reproduces_the_classic_deadlock_identically() {
-    let run = |threads: Option<usize>| -> SimOutcome {
+    let run = |threads: usize| -> SimOutcome {
         let app = apps::temporal_iir(SMALL, SLOW);
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         let config = SimConfig::new(FRAMES).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run_outcome(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run_outcome(),
-        }
+        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
+            .expect("instantiate")
+            .run_artifacts()
+            .outcome
     };
-    let seq = deadlocked(run(None), "sequential");
+    let seq = deadlocked(run(1), "sequential");
     assert!(
         seq.blocked_cycle,
         "the 64-item pin must produce a wait-for cycle, got: {}",
@@ -148,7 +140,7 @@ fn pinned_capacity_reproduces_the_classic_deadlock_identically() {
         .expect("a full cycle admits a minimal capacity bump");
     assert!(bump.required > bump.current, "nonsensical bump: {bump:?}");
     for threads in [2usize, 4, 8] {
-        let par = deadlocked(run(Some(threads)), "parallel");
+        let par = deadlocked(run(threads), "parallel");
         assert_eq!(
             seq, par,
             "structured deadlock reports diverged at {threads} threads"

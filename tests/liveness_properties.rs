@@ -118,7 +118,8 @@ fn derived_capacities_never_deadlock() {
             let config = SimConfig::new(FRAMES).with_comm(comm);
             let seq = TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
                 .expect("instantiate")
-                .run_outcome();
+                .run_artifacts()
+                .outcome;
             let seq = match seq {
                 SimOutcome::Completed(report) => report,
                 SimOutcome::Deadlocked(d) => panic!(
@@ -134,7 +135,8 @@ fn derived_capacities_never_deadlock() {
                     threads,
                 )
                 .expect("instantiate")
-                .run_outcome()
+                .run_artifacts()
+                .outcome
                 {
                     SimOutcome::Completed(par) => assert_eq!(
                         seq.fingerprint(),
@@ -168,20 +170,16 @@ fn one_below_the_bound_starves_the_loop() {
             derive_channel_capacities(&compiled.graph).with_override(be, lp.back_edge_capacity - 1);
         let config = SimConfig::new(FRAMES).with_channel_capacities(lowered);
 
-        let run = |threads: Option<usize>| -> DeadlockReport {
-            let outcome = match threads {
-                None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-                    .expect("instantiate")
-                    .run_outcome(),
-                Some(t) => ParallelTimedSimulator::new(
-                    &compiled.graph,
-                    &compiled.mapping,
-                    config.clone(),
-                    t,
-                )
-                .expect("instantiate")
-                .run_outcome(),
-            };
+        let run = |threads: usize| -> DeadlockReport {
+            let outcome = ParallelTimedSimulator::new(
+                &compiled.graph,
+                &compiled.mapping,
+                config.clone(),
+                threads,
+            )
+            .expect("instantiate")
+            .run_artifacts()
+            .outcome;
             match outcome {
                 SimOutcome::Deadlocked(d) => d,
                 SimOutcome::Completed(_) => panic!(
@@ -192,7 +190,7 @@ fn one_below_the_bound_starves_the_loop() {
                 ),
             }
         };
-        let seq = run(None);
+        let seq = run(1);
 
         // The walk of blocked producers dead-ends at the starved merge
         // node (it has no plan — its external input is exhausted), so the
@@ -246,7 +244,7 @@ fn one_below_the_bound_starves_the_loop() {
         );
 
         for threads in [2usize, 4] {
-            let par = run(Some(threads));
+            let par = run(threads);
             assert_eq!(
                 seq, par,
                 "case {case} at {threads} threads: deadlock reports diverged"

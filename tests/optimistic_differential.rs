@@ -87,16 +87,16 @@ fn run_surfaces(name: &str, config: SimConfig, threads: usize) -> (Surfaces, bp_
     let compiled = compile(&app.graph, &opts).expect("compile");
     let sim = ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
         .expect("instantiate");
-    let (outcome, _, tape, stats) = sim.run_with_artifacts();
-    let report = outcome.into_report().expect("run completes");
-    let tape = tape.expect("metrics policy set");
+    let run = sim.run_artifacts();
+    let report = run.outcome.into_report().expect("run completes");
+    let tape = run.tape.expect("metrics policy set");
     (
         Surfaces {
             fingerprint: report.fingerprint(),
             tape_digest: tape.digest(),
             tape_jsonl: tape.to_jsonl(),
         },
-        stats.sync_counters,
+        run.stats.sync_counters,
     )
 }
 
@@ -135,22 +135,6 @@ fn optimistic_matches_sequential_on_every_surface() {
     }
 }
 
-/// Worker pinning is a pure performance hint: a pinned optimistic run
-/// produces the identical surfaces.
-#[test]
-fn pinned_workers_change_nothing() {
-    let machine = MachineSpec::default_eval();
-    let comm = comm_models(&machine).remove(1).1;
-    for &name in ["fig1b", "camera_bank"].iter() {
-        let (oracle, _) = run_surfaces(name, base_config(&comm), 1);
-        let config = base_config(&comm)
-            .with_sync(SyncMode::Optimistic)
-            .with_pinned_workers(true);
-        let (got, _) = run_surfaces(name, config, 4);
-        assert_eq!(got, oracle, "{name}: pinning perturbed a result surface");
-    }
-}
-
 /// A deliberately skewed two-shard plan (even PEs vs odd PEs — maximal
 /// cross-shard traffic, wildly unbalanced work) plus injected stragglers
 /// forces deep rollbacks, and the results still match the oracle bit for
@@ -185,8 +169,8 @@ fn skewed_plans_with_stragglers_stay_exact() {
                 plan.clone(),
             )
             .expect("skewed plan is valid under a delayed comm model");
-            let (outcome, _, tape, _) = sim.run_with_artifacts();
-            let report = outcome.into_report().expect("run completes");
+            let run = sim.run_artifacts();
+            let (report, tape) = (run.outcome.into_report().expect("run completes"), run.tape);
             let got = Surfaces {
                 fingerprint: report.fingerprint(),
                 tape_digest: tape.as_ref().expect("tape").digest(),
@@ -271,7 +255,8 @@ fn deadlock_report_is_sync_mode_invariant() {
             .with_sync(sync);
         ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
             .expect("instantiate")
-            .run_outcome()
+            .run_artifacts()
+            .outcome
     };
     let SimOutcome::Deadlocked(oracle) = outcome_of(SyncMode::Conservative, 1) else {
         panic!("temporal_iir must capacity-deadlock when pinned to 64");

@@ -148,9 +148,9 @@ fn run_optimistic(
         case.plan.clone(),
     )
     .expect("positive-latency split plan is valid");
-    let (outcome, _, _, stats) = sim.run_with_artifacts();
-    let report = outcome.into_report().expect("run completes");
-    (report.fingerprint(), stats.sync_counters)
+    let run = sim.run_artifacts();
+    let report = run.outcome.into_report().expect("run completes");
+    (report.fingerprint(), run.stats.sync_counters)
 }
 
 /// Faithful restore + anti-message conservation. Stragglers force real

@@ -16,8 +16,8 @@ use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2};
 use bp_sim::{
-    chrome_trace_json, profile_node_weights, validate_json, Backend, ParallelTimedSimulator,
-    SimConfig, SimReport, TimedSimulator, Trace, TraceOptions,
+    chrome_trace_json, validate_json, Backend, ParallelTimedSimulator, SimConfig, SimReport,
+    TimedSimulator, Trace, TraceOptions,
 };
 
 const FRAMES: u32 = 2;
@@ -150,20 +150,15 @@ fn parallel_trace_is_bitwise_identical_to_sequential() {
 /// loop drains).
 #[test]
 fn deadlock_error_names_the_feedback_cycle() {
-    let run = |threads: Option<usize>| -> bp_core::Result<SimReport> {
+    let run = |threads: usize| -> bp_core::Result<SimReport> {
         let app = build_example("temporal_iir");
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         let config = SimConfig::new(FRAMES).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run(),
-        }
+        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
+            .expect("instantiate")
+            .run()
     };
-    let seq_err = run(None)
+    let seq_err = run(1)
         .expect_err("temporal_iir capacity-deadlocks at SMALL/SLOW when pinned to 64")
         .to_string();
     assert!(
@@ -181,7 +176,7 @@ fn deadlock_error_names_the_feedback_cycle() {
         );
     }
     for threads in [2usize, 8] {
-        let par_err = run(Some(threads))
+        let par_err = run(threads)
             .expect_err("parallel engine must also deadlock")
             .to_string();
         assert_eq!(seq_err, par_err, "engines' deadlock diagnostics diverged");
@@ -222,42 +217,6 @@ fn derived_metrics_are_consistent() {
         assert!(
             (hw.depth as usize) <= report.node_max_queue[hw.node],
             "trace high-water exceeds the report's max queue depth"
-        );
-    }
-}
-
-/// Event-weighted sharding (profiling pre-run -> `new_weighted`) may pick
-/// a different component placement but must not change results by a bit.
-#[test]
-fn weighted_shard_plan_preserves_results() {
-    let app = build_example("camera_bank");
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let config = SimConfig::new(FRAMES);
-    let weights =
-        profile_node_weights(&compiled.graph, &compiled.mapping, config.clone()).expect("profile");
-    assert_eq!(weights.len(), compiled.graph.node_count());
-    assert!(weights.iter().sum::<u64>() > 0, "profile saw no events");
-
-    let baseline = TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-        .expect("instantiate")
-        .run()
-        .expect("run");
-    for threads in [2usize, 4] {
-        let app2 = build_example("camera_bank");
-        let compiled2 = compile(&app2.graph, &CompileOptions::default()).expect("compile");
-        let sim = ParallelTimedSimulator::new_weighted(
-            &compiled2.graph,
-            &compiled2.mapping,
-            config.clone(),
-            threads,
-            &weights,
-        )
-        .expect("instantiate");
-        let report = sim.run().expect("run");
-        assert_eq!(
-            baseline.fingerprint(),
-            report.fingerprint(),
-            "weighted sharding at {threads} threads changed the report"
         );
     }
 }
